@@ -9,6 +9,6 @@ from .pruner import PruneReport, apply_pruning, layer_size_report, select_thresh
 from .retrieval import DescriptorIndex, EvalResult, average_precision, evaluate, rank, recall4, similarity
 from .salience import (ActivationStats, SalienceMap, collect_activation_stats,
                        salience_h1, salience_h2, salience_h3, salience_h4)
-from .tensor import GradientTape, ShapeError, tensor
+from .tensor import GradientTape, ShapeError
 
 __version__ = "0.1.0"

@@ -75,16 +75,17 @@ class ExperimentConfig:
 
 
 def _apply_thread_cap() -> None:
-    # CONVPRUNE_THREADS caps BLAS parallelism; silently ignored when
-    # threadpoolctl is unavailable (pure-numpy fallback stays correct).
+    # CONVPRUNE_THREADS caps BLAS parallelism through threadpoolctl. Without
+    # it, or with a non-integer value, the cap has no effect and one stderr
+    # line says so (results stay correct either way).
     cap = os.environ.get("CONVPRUNE_THREADS")
     if not cap:
         return
     try:
         import threadpoolctl
         threadpoolctl.threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError):
-        pass
+    except (ImportError, ValueError) as exc:
+        print(f"warning: CONVPRUNE_THREADS={cap} had no effect ({exc})", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +116,20 @@ def evaluate_model(model, dataset, pooling: str, rmac_levels: int = 3,
     return retrieval.evaluate(index, queries)
 
 
-def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str):
+def _activation_stats(model, dataset, cfg: ExperimentConfig) -> salience.ActivationStats:
+    items = dataset.split("train") or dataset.split("index")
+    ids = [it.item_id for it in items][:cfg.stats_images]
+    return salience.collect_activation_stats(
+        model, (dataset.load_image(i) for i in ids), fingerprint=dataset.fingerprint)
+
+
+def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
+                  stats: salience.ActivationStats | None = None):
     if heuristic == "h1":
         return salience.salience_h1(model)
     if heuristic in ("h3", "h4"):
-        train_items = dataset.split("train") or dataset.split("index")
-        ids = [it.item_id for it in train_items][:cfg.stats_images]
-        stats = salience.collect_activation_stats(
-            model, (dataset.load_image(i) for i in ids), fingerprint=dataset.fingerprint)
         fn = salience.salience_h3 if heuristic == "h3" else salience.salience_h4
-        return fn(model, stats)
+        return fn(model, stats if stats is not None else _activation_stats(model, dataset, cfg))
     triplets = sample_triplets(dataset, cfg.h2_triplets, mode="random",
                                   seed=[cfg.seed, 997])
     return salience.salience_h2(model, triplets, dataset, pooling=pooling,
@@ -221,22 +226,10 @@ def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
     out = Path(args.out)
     if "layers" in payload:  # prune report
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "total", "remaining", "fraction"])
-            for row in payload["layers"]:
-                writer.writerow([row["layer"], row["total"], row["remaining"],
-                                 f"{row['fraction']:.12g}"])
+        pruner.write_prune_csv(out, payload["layers"])
     elif "per_query_ap" in payload:  # eval result
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query", "ap", "recall4"])
-            for qid in sorted(payload["per_query_ap"]):
-                writer.writerow([qid, f"{payload['per_query_ap'][qid]:.12g}",
-                                 payload["per_query_recall4"].get(qid, "")])
-            r4 = payload.get("recall4")
-            writer.writerow(["mean", f"{payload['mean_ap']:.12g}",
-                             "" if r4 is None else f"{r4:.12g}"])
+        retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
+                             payload["query_count"]).write_csv(out)
     else:
         raise ValueError(f"{args.input} is neither a prune report nor an eval result")
     print(f"wrote {out}")
@@ -275,21 +268,12 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         # h1 and the stats-based heuristics are pooling-independent; h2's
         # loss runs through the pooling, so it gets one map per pooling
         key = heuristic if heuristic != "h2" else f"h2_{pooling}"
-        smap = salience_cache.get(key)
-        if smap is None:
-            if heuristic in ("h3", "h4"):
-                if not stats_cache:
-                    items = dataset.split("train") or dataset.split("index")
-                    ids = [it.item_id for it in items][:cfg.stats_images]
-                    stats_cache.append(salience.collect_activation_stats(
-                        baseline, (dataset.load_image(i) for i in ids),
-                        fingerprint=dataset.fingerprint))
-                fn = salience.salience_h3 if heuristic == "h3" else salience.salience_h4
-                smap = fn(baseline, stats_cache[0])
-            else:
-                smap = _salience_for(heuristic, baseline, dataset, cfg, pooling)
-            salience_cache[key] = smap
-        return smap
+        if key not in salience_cache:
+            if heuristic in ("h3", "h4") and not stats_cache:
+                stats_cache.append(_activation_stats(baseline, dataset, cfg))
+            salience_cache[key] = _salience_for(heuristic, baseline, dataset, cfg, pooling,
+                                                *stats_cache)
+        return salience_cache[key]
 
     failed = False
     with open(metrics_path, "w", newline="") as fh:

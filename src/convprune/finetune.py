@@ -161,27 +161,23 @@ def _split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: st
             for it in dataset.split(split)}
 
 
-def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: RetrievalDataset,
-                   config: FinetuneConfig, where: str = "") -> tuple[float, int]:
-    """One in-place SGD update from a triplet batch.
-
-    Per-triplet gradients are summed in batch order (deterministic) and the
-    update uses their mean; masked weights are projected back to exactly
-    zero afterwards. Returns (summed loss, active hinge count).
-    """
+def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, pooling: str,
+                      margin: float, rmac_levels: int = 3,
+                      where: str = "") -> tuple[dict, float, int]:
+    """Per triplet: three tape forwards (images as tape constants) and, if the
+    hinge is active, one backward. Returns ({conv layer index: (weight grad
+    sum, bias grad sum)}, summed loss, active hinge count); sums run in
+    triplet order, so they are deterministic."""
     conv_layers = model.conv_layers()
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
     loss_sum = 0.0
     active = 0
-    for t in batch:
-        tape = GradientTape()
-        dq = descriptor_of(model, dataset.load_image(t.query), config.pooling,
-                           config.rmac_levels, tape=tape)
-        dp = descriptor_of(model, dataset.load_image(t.positive), config.pooling,
-                           config.rmac_levels, tape=tape)
-        dn = descriptor_of(model, dataset.load_image(t.negative), config.pooling,
-                           config.rmac_levels, tape=tape)
-        loss = triplet_loss_op(dq.values, dp.values, dn.values, config.margin, tape)
+    for t in triplets:
+        images = [dataset.load_image(i) for i in (t.query, t.positive, t.negative)]
+        tape = GradientTape(constants=images)
+        dq, dp, dn = [descriptor_of(model, image, pooling, rmac_levels, tape=tape)
+                      for image in images]
+        loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
         loss_value = float(loss)
         if not np.isfinite(loss_value):
             raise TrainingDiverged(f"non-finite loss{where}, triplet "
@@ -192,14 +188,21 @@ def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: Retrieval
         active += 1
         tape.backward(loss)
         for idx, layer in conv_layers:
-            gw = tape.gradient(layer.weights)
-            gb = tape.gradient(layer.bias)
-            if gw is not None:
-                grads[idx][0][...] += gw
-            if gb is not None:
-                grads[idx][1][...] += gb
+            for acc, g in zip(grads[idx], (tape.gradient(layer.weights),
+                                           tape.gradient(layer.bias))):
+                if g is not None:
+                    acc += g
+    return grads, loss_sum, active
+
+
+def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: RetrievalDataset,
+                   config: FinetuneConfig, where: str = "") -> tuple[float, int]:
+    """One in-place SGD step along the mean triplet gradient; masked weights
+    are projected back to exactly zero. Returns (summed loss, active count)."""
+    grads, loss_sum, active = triplet_gradients(model, batch, dataset, config.pooling,
+                                                config.margin, config.rmac_levels, where)
     scale = config.learning_rate / len(batch)
-    for idx, layer in conv_layers:
+    for idx, layer in model.conv_layers():
         gw, gb = grads[idx]
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise TrainingDiverged(f"non-finite gradient{where}, layer {idx}")

@@ -57,15 +57,19 @@ class PruneReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "total", "remaining", "fraction"])
-            for r in self.layers:
-                writer.writerow([r.name, r.total, r.remaining, f"{r.fraction:.12g}"])
-            total = sum(r.total for r in self.layers)
-            remaining = sum(r.remaining for r in self.layers)
-            writer.writerow(["all", total, remaining,
-                             f"{remaining / total:.12g}" if total else "0"])
+        write_prune_csv(path, self.to_dict()["layers"])
+
+
+def write_prune_csv(path: str | Path, layers: list[dict]) -> None:
+    """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "total", "remaining", "fraction"])
+        for r in layers:
+            writer.writerow([r["layer"], r["total"], r["remaining"], f"{r['fraction']:.12g}"])
+        total = sum(r["total"] for r in layers)
+        remaining = sum(r["remaining"] for r in layers)
+        writer.writerow(["all", total, remaining, f"{remaining / total:.12g}" if total else "0"])
 
 
 def select_threshold(salience: SalienceMap, keep_fraction: float,

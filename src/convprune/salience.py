@@ -23,9 +23,9 @@ import numpy as np
 
 from . import container
 from .dataset import RetrievalDataset
+from .finetune import triplet_gradients
 from .network import NetworkModel, forward_features
-from .pooling import pool_features
-from .tensor import GradientTape, ShapeError
+from .tensor import ShapeError
 
 HEURISTICS = ("h1", "h2", "h3", "h4")
 
@@ -186,35 +186,16 @@ def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
     averages the weight gradients over the batch, and scores each edge as
     |mean gradient * weight|.
     """
-    from .finetune import triplet_loss_op  # local import avoids a cycle
-
     triplets = list(triplets)
     if not triplets:
         raise ValueError("h2 needs a nonempty triplet batch")
-    grad_sums = {idx: np.zeros_like(layer.weights) for idx, layer in model.conv_layers()}
-    any_active = False
-    for t in triplets:
-        tape = GradientTape()
-        descs = {}
-        for role, item_id in (("q", t.query), ("p", t.positive), ("n", t.negative)):
-            feats = forward_features(model, dataset.load_image(item_id), tape=tape)
-            descs[role] = pool_features(feats, pooling, levels=rmac_levels, tape=tape)
-        loss = triplet_loss_op(descs["q"].values, descs["p"].values, descs["n"].values,
-                               margin, tape)
-        if float(loss) == 0.0:
-            continue  # inactive hinge contributes a zero gradient
-        any_active = True
-        tape.backward(loss)
-        for idx, layer in model.conv_layers():
-            g = tape.gradient(layer.weights)
-            if g is not None:
-                grad_sums[idx] += g
-    if not any_active:
+    grads, _, active = triplet_gradients(model, triplets, dataset, pooling, margin, rmac_levels)
+    if not active:
         warnings.warn("every triplet in the batch has an inactive hinge; "
                       "h2 salience is legitimately all zero", RuntimeWarning, stacklevel=2)
     scores = {}
     for idx, layer in model.conv_layers():
-        mean_grad = grad_sums[idx] / len(triplets)
+        mean_grad = grads[idx][0] / len(triplets)
         scores[idx] = np.abs(mean_grad * layer.weights) * layer.mask
     return SalienceMap(heuristic="h2", scores=scores,
                        fingerprint={"dataset": dataset.fingerprint, "samples": len(triplets)})

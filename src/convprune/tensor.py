@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -44,12 +43,14 @@ class TapeEntry:
 
     `inputs` holds references to the exact arrays the op consumed (gradients
     are accumulated per array identity), `ctx` whatever the backward rule
-    needs (saved columns, argmax positions, norms, ...).
+    needs (saved columns, norms, ...). `needs_grad[i]` is False when input i
+    is a tape constant, whose gradient a backward rule may skip computing.
     """
     op: str
     inputs: tuple
     output: np.ndarray
     ctx: dict = field(default_factory=dict)
+    needs_grad: tuple = ()
 
 
 _BACKWARD_FNS: dict = {}
@@ -67,14 +68,18 @@ class GradientTape:
     A tape is single-use and single-threaded: one tape per forward/backward
     pass, never shared. Entries keep references to their input/output arrays
     so identity-based gradient lookup stays valid for the tape's lifetime.
+    `constants` are arrays (such as input images) whose gradient no caller
+    reads; `gradient()` returns None for them.
     """
 
-    def __init__(self):
+    def __init__(self, constants=()):
         self.entries: list[TapeEntry] = []
         self._grads: dict[int, np.ndarray] = {}
+        self._constants = {id(c): c for c in constants}
 
     def record(self, op: str, inputs: tuple, output: np.ndarray, ctx: dict | None = None) -> TapeEntry:
-        entry = TapeEntry(op, inputs, output, ctx or {})
+        needs_grad = tuple(id(a) not in self._constants for a in inputs)
+        entry = TapeEntry(op, inputs, output, ctx or {}, needs_grad)
         self.entries.append(entry)
         return entry
 
@@ -98,8 +103,8 @@ class GradientTape:
             input_grads = backward_fn(entry, g)
             if not isinstance(input_grads, tuple):
                 input_grads = (input_grads,)
-            for arr, ig in zip(entry.inputs, input_grads):
-                if ig is None:
+            for arr, ig, needed in zip(entry.inputs, input_grads, entry.needs_grad):
+                if ig is None or not needed:
                     continue
                 if ig.shape != arr.shape:
                     raise ShapeError(f"op {entry.op!r} produced gradient of shape {ig.shape} "
@@ -115,6 +120,17 @@ class GradientTape:
 # ---------------------------------------------------------------------------
 # Convolution (cross-correlation)
 # ---------------------------------------------------------------------------
+
+def _im2col(src: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """[C*kH*kW, h_out*w_out] patch matrix of a (padded) [C,H,W] map, built
+    with one strided slice copy per kernel tap."""
+    cols = np.empty((src.shape[0], kh, kw, h_out, w_out))
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = src[:, u:u + (h_out - 1) * stride + 1:stride,
+                                v:v + (w_out - 1) * stride + 1:stride]
+    return cols.reshape(-1, h_out * w_out)
+
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    stride: int = 1, padding: int = 0,
@@ -144,11 +160,13 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"padded input {h + 2 * padding}x{w + 2 * padding} smaller than "
                          f"kernel {kh}x{kw}")
 
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    h_out, w_out = windows.shape[1], windows.shape[2]
-    cols = np.ascontiguousarray(windows.transpose(0, 3, 4, 1, 2)).reshape(c_in * kh * kw, h_out * w_out)
-    out = (weights.reshape(c_out, -1) @ cols + bias[:, None]).reshape(c_out, h_out, w_out)
+    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+    xp[:, padding:padding + h, padding:padding + w] = x
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
+    out = weights.reshape(c_out, -1) @ cols
+    out = np.add(out, bias[:, None], out=out).reshape(c_out, h_out, w_out)
     if tape is not None:
         tape.record("conv2d", (x, weights, bias), out,
                     {"cols": cols, "stride": stride, "padding": padding})
@@ -156,30 +174,30 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def conv2d_backward(entry: TapeEntry, upstream: np.ndarray):
-    """Gradients of a recorded conv2d: (input_grad, weight_grad, bias_grad)."""
+    """Gradients of a recorded conv2d: (input_grad, weight_grad, bias_grad).
+
+    The input gradient, None for a tape constant, is a transposed convolution:
+    the dilated, padded upstream correlated with the rotated, channel-swapped kernels.
+    """
     if not isinstance(entry, TapeEntry) or entry.op != "conv2d":
         raise ValueError("conv2d_backward needs a conv2d tape entry")
     x, weights, _bias = entry.inputs
-    cols = entry.ctx["cols"]
     stride, padding = entry.ctx["stride"], entry.ctx["padding"]
-    c_out, c_in, kh, kw = weights.shape
-    _, h, w = x.shape
-    h_out, w_out = entry.output.shape[1], entry.output.shape[2]
+    (c_out, c_in, kh, kw), (_, h, w) = weights.shape, x.shape
+    h_out, w_out = upstream.shape[1], upstream.shape[2]
 
     g_mat = upstream.reshape(c_out, -1)
     bias_grad = upstream.sum(axis=(1, 2))
-    weight_grad = (g_mat @ cols.T).reshape(weights.shape)
+    weight_grad = (g_mat @ entry.ctx["cols"].T).reshape(weights.shape)
+    if not entry.needs_grad[0]:
+        return None, weight_grad, bias_grad
 
-    cols_grad = (weights.reshape(c_out, -1).T @ g_mat).reshape(c_in, kh, kw, h_out, w_out)
-    dxp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, u:u + (h_out - 1) * stride + 1:stride,
-                v:v + (w_out - 1) * stride + 1:stride] += cols_grad[:, u, v]
-    input_grad = dxp[:, padding:padding + h, padding:padding + w]
-    if padding:
-        input_grad = np.ascontiguousarray(input_grad)
-    return input_grad, weight_grad, bias_grad
+    # dilated, offset upstream: output (i, j) sits at gp[:, kH-1 + i*stride, kW-1 + j*stride]
+    gp = np.zeros((c_out, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1))
+    gp[:, kh - 1:kh + (h_out - 1) * stride:stride, kw - 1:kw + (w_out - 1) * stride:stride] = upstream
+    cols = _im2col(gp[:, padding:, padding:], kh, kw, 1, h, w)
+    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return (flipped @ cols).reshape(c_in, h, w), weight_grad, bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +224,40 @@ def relu_backward(entry: TapeEntry, upstream: np.ndarray):
 # 2x2 max pooling
 # ---------------------------------------------------------------------------
 
+def _pool_taps(x: np.ndarray):
+    """Strided views of window positions (0,0),(0,1),(1,0),(1,1) of the 2x2 windows."""
+    return [x[:, r::2, s::2] for r in (0, 1) for s in (0, 1)]
+
+
 def maxpool2_forward(x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
     """Non-overlapping 2x2 max pool; requires even spatial dims."""
     _require_f64("input", x)
     if x.ndim != 3:
         raise ShapeError(f"maxpool input must be rank 3 [C,H,W], got shape {x.shape}")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    # argmax returns the first maximum: window positions are ordered
-    # (0,0),(0,1),(1,0),(1,1), i.e. row-major, so ties break deterministically
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    a, b, c, d = _pool_taps(x)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
     if tape is not None:
-        tape.record("maxpool2", (x,), out, {"idx": idx})
+        tape.record("maxpool2", (x,), out)
     return out
 
 
 def maxpool2_backward(entry: TapeEntry, upstream: np.ndarray):
-    """Routes gradient to each window's argmax position."""
+    """Routes gradient to each window's first maximum in row-major window
+    order, so ties break deterministically."""
     if not isinstance(entry, TapeEntry) or entry.op != "maxpool2":
         raise ValueError("maxpool2_backward needs a maxpool2 tape entry")
     (x,) = entry.inputs
-    idx = entry.ctx["idx"]
-    c, h, w = x.shape
-    g4 = np.zeros((c, h // 2, w // 2, 4))
-    np.put_along_axis(g4, idx[..., None], upstream[..., None], axis=-1)
-    dx = g4.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    dx = np.empty_like(x)
+    taps, grads = _pool_taps(x), _pool_taps(dx)
+    rest = upstream  # gradient of the windows whose maximum is not yet found
+    for tap, grad in zip(taps[:3], grads[:3]):
+        hit = tap == entry.output
+        np.multiply(rest, hit, out=grad)
+        rest = np.where(hit, 0.0, rest)
+    grads[3][...] = rest  # a window not routed yet has its maximum at (1,1)
     return (dx,)
 
 

@@ -146,10 +146,17 @@ def test_runtime_error_exit_code_1(tmp_path):
     assert main(["gen-dataset", "--out", str(tmp_path / "bad"), "--shape", "4x8x8"]) == 1
 
 
-def test_thread_cap_env(workspace, monkeypatch, tmp_path):
+def test_thread_cap_env(workspace, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("CONVPRUNE_THREADS", "1")
     assert main(["evaluate", "--model", str(workspace / "baseline"),
                  "--data", str(workspace / "data"), "--out", str(tmp_path / "e.json")]) == 0
+    err = capsys.readouterr().err
+    try:
+        import threadpoolctl  # noqa: F401
+    except ImportError:
+        assert err.count("CONVPRUNE_THREADS=1 had no effect") == 1
+    else:
+        assert "no effect" not in err
 
 
 def test_descriptor_index_roundtrip(workspace):
@@ -192,6 +199,19 @@ def test_pipeline_rows_and_t1_consistency(workspace):
     assert (out / "models" / "h1_t0.5_sqp" / "manifest.json").exists()
     assert (out / "descriptors" / "h1_t0.5_sqp" / "labels.json").exists()
     assert (out / "log.jsonl").read_text().strip()
+
+
+def test_report_prune_csv_matches_pipeline_csv(workspace):
+    out = workspace / "report_csv"
+    run_pipeline(ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                                  epochs=1, seed=2, data=str(workspace / "data"),
+                                  model=str(workspace / "baseline"), out=str(out)))
+    reports = out / "reports"
+    assert main(["report", "--input", str(reports / "prune_h1_t0.5_sqp.json"),
+                 "--out", str(out / "rendered.csv")]) == 0
+    rendered = (out / "rendered.csv").read_bytes()
+    assert rendered == (reports / "prune_h1_t0.5_sqp.csv").read_bytes()
+    assert rendered.splitlines()[-1].startswith(b"all,")
 
 
 def test_pipeline_rerun_byte_identical(workspace):

@@ -5,15 +5,15 @@ import pytest
 
 from convprune.finetune import (FinetuneConfig, TrainingDiverged, Triplet, finetune,
                                 sample_triplets, sgd_batch_step, train_baseline,
-                                triplet_loss, triplet_loss_op)
-from convprune.network import forward_features, init_network
+                                triplet_gradients, triplet_loss, triplet_loss_op)
+from convprune.network import clone_model, forward_features, init_network
 from convprune.pooling import sqp_pool
 from convprune.pruner import apply_pruning
 from convprune.retrieval import similarity
-from convprune.salience import salience_h1
+from convprune.salience import salience_h1, salience_h2
 from convprune.tensor import GradientTape
 
-from util import build_dataset, fd_gradient, rel_error
+from util import build_dataset, fd_gradient, reference_triplet_grads, rel_error
 
 
 def vec_with_cosine(k):
@@ -291,3 +291,53 @@ def test_train_baseline_deterministic(small_dataset, small_arch):
     b = train_baseline(small_arch, small_dataset, cfg)
     for (_, la), (_, lb) in zip(a.conv_layers(), b.conv_layers()):
         assert np.array_equal(la.weights, lb.weights)
+
+
+# ---------------------------------------------------------------------------
+# Shared gradient loop against the per-triplet reference loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_shared_loop_matches_reference_loop(small_dataset, small_arch, pooling):
+    model = init_network(small_arch, seed=3)
+    model, _ = apply_pruning(model, salience_h1(model), 0.6)
+    triplets = sample_triplets(small_dataset, 12, seed=8)
+    cfg = FinetuneConfig(pooling=pooling, learning_rate=0.2, margin=0.1)
+    ref, ref_active = reference_triplet_grads(model, triplets, small_dataset, pooling, cfg.margin)
+    assert ref_active > 0
+
+    grads, _, active = triplet_gradients(model, triplets, small_dataset, pooling, cfg.margin)
+    assert active == ref_active
+    for idx, _layer in model.conv_layers():
+        assert rel_error(grads[idx][0], ref[idx][0]) <= 1e-12
+        assert rel_error(grads[idx][1], ref[idx][1]) <= 1e-12
+
+    stepped = clone_model(model)
+    sgd_batch_step(stepped, triplets, small_dataset, cfg)
+    scale = cfg.learning_rate / len(triplets)
+    for (idx, before), (_, after) in zip(model.conv_layers(), stepped.conv_layers()):
+        expected_w = (before.weights - scale * ref[idx][0]) * before.mask
+        assert rel_error(after.weights, expected_w) <= 1e-12
+        assert rel_error(after.bias, before.bias - scale * ref[idx][1]) <= 1e-12
+
+    smap = salience_h2(model, triplets, small_dataset, pooling=pooling, margin=cfg.margin)
+    for idx, layer in model.conv_layers():
+        expected = np.abs(ref[idx][0] / len(triplets) * layer.weights) * layer.mask
+        assert rel_error(smap.scores[idx], expected) <= 1e-12
+
+
+def test_shared_loop_all_inactive_batch(small_dataset, small_arch):
+    model = init_network(small_arch, seed=3)
+    # query == positive: similarity exactly 1; a margin below the 1 - K(q, n)
+    # gap keeps every hinge inactive
+    ids = [it.item_id for it in small_dataset.split("train")]
+    triplets = [Triplet(ids[0], ids[0], ids[-1]), Triplet(ids[1], ids[1], ids[-2])]
+    descs = {i: sqp_pool(forward_features(model, small_dataset.load_image(i))).values
+             for i in ids}
+    margin = min(1.0 - similarity(descs[t.query], descs[t.negative]) for t in triplets) / 2
+    assert margin > 0.0
+    grads, loss, active = triplet_gradients(model, triplets, small_dataset, "sqp", margin)
+    assert active == 0 and loss == 0.0
+    assert not any(g.any() for pair in grads.values() for g in pair)
+    with pytest.warns(RuntimeWarning, match="inactive"):
+        salience_h2(model, triplets, small_dataset, margin=margin)

@@ -210,3 +210,8 @@ def test_load_rejects_mask_weight_inconsistency(tmp_path):
     save_model(model, str(path))
     with pytest.raises(ValueError, match="zero mask"):
         load_model(str(path))
+
+
+def test_tensor_submodule_not_shadowed():
+    from convprune import tensor
+    assert tensor.__name__ == "convprune.tensor"

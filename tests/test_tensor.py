@@ -31,6 +31,38 @@ def naive_conv2d(x, w, b, stride, padding):
     return out
 
 
+def naive_conv2d_grads(x, w, g, stride, padding):
+    """Nested-loop (input, weight, bias) gradients of naive_conv2d for upstream g."""
+    c_out, c_in, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for co in range(c_out):
+        for oy in range(g.shape[1]):
+            for ox in range(g.shape[2]):
+                for ci in range(c_in):
+                    for u in range(kh):
+                        for v in range(kw):
+                            gxp[ci, oy * stride + u, ox * stride + v] += g[co, oy, ox] * w[co, ci, u, v]
+                            gw[co, ci, u, v] += g[co, oy, ox] * xp[ci, oy * stride + u, ox * stride + v]
+    _, h, wd = x.shape
+    return gxp[:, padding:padding + h, padding:padding + wd], gw, g.sum(axis=(1, 2))
+
+
+def naive_maxpool2_backward(x, g):
+    """Loop oracle: each window's gradient goes to its first maximum in
+    row-major window order."""
+    dx = np.zeros_like(x)
+    for ci in range(x.shape[0]):
+        for oy in range(x.shape[1] // 2):
+            for ox in range(x.shape[2] // 2):
+                positions = [(2 * oy + r, 2 * ox + c) for r in (0, 1) for c in (0, 1)]
+                best = max(x[ci, p, q] for p, q in positions)
+                p, q = next(pq for pq in positions if x[ci, pq[0], pq[1]] == best)
+                dx[ci, p, q] = g[ci, oy, ox]
+    return dx
+
+
 def naive_maxpool2(x):
     c, h, w = x.shape
     out = np.zeros((c, h // 2, w // 2))
@@ -134,6 +166,61 @@ def test_conv_backward_finite_differences(stride, padding):
     assert rel_error(tape.gradient(b), fd_gradient(loss, b)) < 1e-6
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv_forward_and_gradients_match_loop_oracle(stride, padding):
+    rng = np.random.default_rng(100 * stride + padding)
+    for _ in range(4):
+        c_in, c_out, kh, kw = (int(v) for v in rng.integers(1, 4, size=4))
+        h = int(rng.integers(max(1, kh - 2 * padding), 8))
+        w = int(rng.integers(max(1, kw - 2 * padding), 8))
+        x = rng.standard_normal((c_in, h, w))
+        wt = rng.standard_normal((c_out, c_in, kh, kw))
+        b = rng.standard_normal(c_out)
+        tape = GradientTape()
+        out = conv2d_forward(x, wt, b, stride, padding, tape=tape)
+        assert rel_error(out, naive_conv2d(x, wt, b, stride, padding)) <= 1e-12
+        g = rng.standard_normal(out.shape)
+        gx, gw, gb = conv2d_backward(tape.entries[-1], g)
+        for got, want in zip((gx, gw, gb), naive_conv2d_grads(x, wt, g, stride, padding)):
+            assert got.shape == want.shape
+            assert rel_error(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("x_shape,w_shape,padding", [
+    ((2, 8, 7), (3, 2, 3, 2), 0),   # last input row and column feed no output
+    ((2, 6, 6), (3, 2, 3, 3), 1),
+    ((2, 5, 5), (2, 2, 1, 1), 2),   # padding wider than the kernel
+])
+def test_conv_input_grad_finite_differences_stride2(x_shape, w_shape, padding):
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    b = rng.standard_normal(w_shape[0])
+    tape = GradientTape()
+    out = conv2d_forward(x, w, b, 2, padding, tape=tape)
+    proj = rng.standard_normal(out.shape)
+    tape.backward(out, upstream=proj)
+    fd = fd_gradient(lambda: float((conv2d_forward(x, w, b, 2, padding) * proj).sum()), x)
+    assert rel_error(tape.gradient(x), fd) < 1e-6
+
+
+def test_conv_constant_input_skips_input_grad():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((2, 5, 5))
+    w = rng.standard_normal((3, 2, 3, 3))
+    b = rng.standard_normal(3)
+    grads = []
+    for constants in ((), (x,)):
+        tape = GradientTape(constants=constants)
+        out = conv2d_forward(x, w, b, 1, 1, tape=tape)
+        tape.backward(out)
+        grads.append((tape.gradient(x), tape.gradient(w), tape.gradient(b)))
+    (gx, gw, gb), (cx, cw, cb) = grads
+    assert gx is not None and cx is None
+    assert np.array_equal(gw, cw) and np.array_equal(gb, cb)
+
+
 def test_conv_backward_needs_entry():
     with pytest.raises(ValueError):
         conv2d_backward(None, np.zeros((1, 1, 1)))
@@ -196,6 +283,32 @@ def test_maxpool_constant_map_ties():
     (gx,) = maxpool2_backward(tape.entries[-1], np.ones((2, 2, 2)))
     assert np.array_equal(gx[:, ::2, ::2], np.ones((2, 2, 2)))
     assert gx.sum() == 8.0
+
+
+@pytest.mark.parametrize("x", [
+    relu_forward(-np.abs(np.random.default_rng(37).standard_normal((2, 4, 6)))),  # all zero
+    np.full((2, 4, 6), 0.7),
+], ids=["post-relu-zeros", "equal-positive"])
+def test_maxpool_tied_windows_route_to_first_position(x):
+    tape = GradientTape()
+    maxpool2_forward(x, tape=tape)
+    g = np.random.default_rng(41).standard_normal((2, 2, 3))
+    (gx,) = maxpool2_backward(tape.entries[-1], g)
+    expected = np.zeros_like(x)
+    expected[:, ::2, ::2] = g
+    assert np.array_equal(gx, expected)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_maxpool_backward_matches_first_max_oracle(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(2, 4, 6)).astype(np.float64)  # many ties
+    tape = GradientTape()
+    maxpool2_forward(x, tape=tape)
+    g = rng.standard_normal((2, 2, 3))
+    (gx,) = maxpool2_backward(tape.entries[-1], g)
+    assert np.array_equal(gx, naive_maxpool2_backward(x, g))
 
 
 def test_maxpool_matches_window_oracle():

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from convprune.dataset import RetrievalDataset, save_tensor
+from convprune.finetune import descriptor_of, triplet_loss_op
+from convprune.tensor import GradientTape
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -95,3 +97,33 @@ class ArrayDataset:
 
     def load_image(self, item_id: str) -> np.ndarray:
         return self._images[item_id]
+
+
+def reference_triplet_grads(model, triplets, dataset, pooling: str, margin: float,
+                            rmac_levels: int = 3) -> tuple[dict, int]:
+    """The per-triplet gradient loop as fine-tuning and h2 each ran it before
+    they shared `triplet_gradients`: a fresh tape with no constants per
+    triplet, inactive hinges skipped, gradients summed by array identity.
+    Returns ({conv layer index: (weight grad sum, bias grad sum)}, active count).
+    """
+    conv_layers = model.conv_layers()
+    grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
+    active = 0
+    for t in triplets:
+        tape = GradientTape()
+        dq = descriptor_of(model, dataset.load_image(t.query), pooling, rmac_levels, tape=tape)
+        dp = descriptor_of(model, dataset.load_image(t.positive), pooling, rmac_levels, tape=tape)
+        dn = descriptor_of(model, dataset.load_image(t.negative), pooling, rmac_levels, tape=tape)
+        loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
+        if float(loss) == 0.0:
+            continue
+        active += 1
+        tape.backward(loss)
+        for idx, layer in conv_layers:
+            gw = tape.gradient(layer.weights)
+            gb = tape.gradient(layer.bias)
+            if gw is not None:
+                grads[idx][0][...] += gw
+            if gb is not None:
+                grads[idx][1][...] += gb
+    return grads, active
