@@ -2,7 +2,7 @@
 triplet fine-tuning for small instance-retrieval CNNs."""
 
 from .dataset import RetrievalDataset, generate_dataset
-from .finetune import FinetuneConfig, Triplet, finetune, sample_triplets, train_baseline, triplet_loss
+from .finetune import FinetuneConfig, Triplet, sample_triplets, train_baseline, triplet_loss
 from .network import NetworkModel, forward_features, init_network, load_model, save_model, tinynet_architecture
 from .pooling import Descriptor, RoiGrid, pool_features, rmac_grid, rmac_pool, sqp_pool
 from .pruner import PruneReport, apply_pruning, layer_size_report, select_threshold

@@ -9,6 +9,7 @@ end to end.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -117,56 +118,69 @@ def _sqp_backward(entry: TapeEntry, upstream: np.ndarray):
     return (features * (upstream / denom)[:, None, None],)
 
 
+@functools.lru_cache(maxsize=64)
+def _region_positions(regions: tuple, height: int, width: int) -> np.ndarray:
+    """[R, P] flat row-major positions of each region's cells in a height x
+    width map, one row per region in grid order. Rows shorter than the
+    largest region are padded with the region's first position, which
+    changes neither its max nor where the first max in scan order sits."""
+    for r in regions:
+        x0, y0, rw, rh = r
+        if x0 < 0 or y0 < 0 or x0 + rw > width or y0 + rh > height:
+            raise ShapeError(f"region {r} out of bounds for {width}x{height} feature maps")
+    size = max(rw * rh for _, _, rw, rh in regions)
+    positions = np.empty((len(regions), size), dtype=np.intp)
+    for i, (x0, y0, rw, rh) in enumerate(regions):
+        cells = (np.arange(y0, y0 + rh)[:, None] * width + np.arange(x0, x0 + rw)).ravel()
+        positions[i, :cells.size] = cells
+        positions[i, cells.size:] = cells[0]
+    positions.flags.writeable = False
+    return positions
+
+
 def rmac_pool(features: np.ndarray, grid: RoiGrid, tape: GradientTape | None = None) -> Descriptor:
     """Max over each grid region, averaged over regions, per channel."""
     _require_f64("features", features)
     if features.ndim != 3:
         raise ShapeError(f"features must be rank 3 [C,H,W], got shape {features.shape}")
     c, h, w = features.shape
-    for r in grid.regions:
-        x0, y0, rw, rh = r
-        if x0 < 0 or y0 < 0 or x0 + rw > w or y0 + rh > h:
-            raise ShapeError(f"region {r} out of bounds for {w}x{h} feature maps")
-    n_regions = len(grid.regions)
+    positions = _region_positions(tuple(tuple(r) for r in grid.regions), h, w)
+    n_regions = positions.shape[0]
+    flat = features.reshape(c, h * w)
+    # [C, R]: flat position of each region's first max in row-major region scan
+    argmax = positions[np.arange(n_regions), flat[:, positions].argmax(axis=2)]
+    maxima = np.take_along_axis(flat, argmax, axis=1)
+    # A running total in region order, so the values do not depend on how
+    # numpy would block a reduction over the region axis.
     total = np.zeros(c)
-    argmax_rows = np.empty((n_regions, c), dtype=np.intp)
-    argmax_cols = np.empty((n_regions, c), dtype=np.intp)
-    for i, (x0, y0, rw, rh) in enumerate(grid.regions):
-        sub = features[:, y0:y0 + rh, x0:x0 + rw].reshape(c, -1)
-        flat = sub.argmax(axis=1)  # first max in row-major region scan
-        total += np.take_along_axis(sub, flat[:, None], axis=1)[:, 0]
-        argmax_rows[i] = y0 + flat // rw
-        argmax_cols[i] = x0 + flat % rw
+    for i in range(n_regions):
+        total += maxima[:, i]
     values = total / n_regions
     if tape is not None:
-        tape.record("rmac_pool", (features,), values,
-                    {"rows": argmax_rows, "cols": argmax_cols, "n_regions": n_regions})
+        tape.record("rmac_pool", (features,), values, {"argmax": argmax, "n_regions": n_regions})
     return Descriptor(values=values, kind="rmac", spatial=(w, h))
 
 
 def _rmac_backward(entry: TapeEntry, upstream: np.ndarray):
     (features,) = entry.inputs
-    rows, cols = entry.ctx["rows"], entry.ctx["cols"]
-    n_regions = entry.ctx["n_regions"]
-    c = features.shape[0]
-    dx = np.zeros_like(features)
+    argmax, n_regions = entry.ctx["argmax"], entry.ctx["n_regions"]
+    c, h, w = features.shape
+    cells = h * w
     share = upstream / n_regions
-    chan = np.arange(c)
-    for i in range(rows.shape[0]):
-        dx[chan, rows[i], cols[i]] += share
-    return (dx,)
-
-
-def pool_backward(entry: TapeEntry, upstream: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the feature maps for a recorded pooling op."""
-    if not isinstance(entry, TapeEntry) or entry.op not in ("sqp_pool", "rmac_pool"):
-        raise ValueError("pool_backward needs an sqp_pool or rmac_pool tape entry")
-    fn = _sqp_backward if entry.op == "sqp_pool" else _rmac_backward
-    return fn(entry, upstream)[0]
+    # bincount adds its weights in input order; region-major input routes each
+    # region's share onto the running gradient in region order.
+    targets = (argmax + (np.arange(c) * cells)[:, None]).T.ravel()
+    dx = np.bincount(targets, weights=np.tile(share, n_regions), minlength=c * cells)
+    return (dx.reshape(features.shape),)
 
 
 register_backward("sqp_pool", _sqp_backward)
 register_backward("rmac_pool", _rmac_backward)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_grid(width: int, height: int, levels: int) -> RoiGrid:
+    return rmac_grid(width, height, levels)
 
 
 def pool_features(features: np.ndarray, kind: str, levels: int = 3,
@@ -175,7 +189,7 @@ def pool_features(features: np.ndarray, kind: str, levels: int = 3,
     if kind == "sqp":
         return sqp_pool(features, tape=tape)
     if kind == "rmac":
-        grid = rmac_grid(features.shape[2], features.shape[1], levels)
+        grid = _cached_grid(features.shape[2], features.shape[1], levels)
         return rmac_pool(features, grid, tape=tape)
     raise ValueError(f"unknown pooling kind {kind!r}")
 
@@ -199,12 +213,54 @@ def save_descriptor(desc: Descriptor, item_id: str, directory: str | Path) -> Pa
     return data_path
 
 
+class DescriptorFileError(ValueError):
+    """A descriptor sidecar, payload or index label file is missing or malformed."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_json_file(path: Path):
+    """Parsed JSON of a descriptor-format file; DescriptorFileError if it is
+    missing or not JSON."""
+    try:
+        return json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise DescriptorFileError(f"missing {path}") from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise DescriptorFileError(f"{path}: not valid JSON ({e})") from None
+
+
 def load_descriptor(item_id: str, directory: str | Path) -> Descriptor:
+    """Read one saved descriptor; DescriptorFileError on any malformed file."""
     directory = Path(directory)
-    sidecar = json.loads((directory / f"{item_id}.json").read_text())
-    raw = (directory / f"{item_id}.f32").read_bytes()
+    sidecar = read_json_file(directory / f"{item_id}.json")
+    if not isinstance(sidecar, dict):
+        raise DescriptorFileError(f"descriptor {item_id}: sidecar is not a JSON object")
+    if sidecar.get("item_id") != item_id:
+        raise DescriptorFileError(f"descriptor {item_id}: sidecar names item "
+                                  f"{sidecar.get('item_id')!r}")
+    kind = sidecar.get("pooling")
+    if kind not in POOLING_KINDS:
+        raise DescriptorFileError(f"descriptor {item_id}: unknown pooling kind {kind!r}")
+    channels = sidecar.get("channels")
+    if not _is_int(channels) or channels < 0:
+        raise DescriptorFileError(f"descriptor {item_id}: bad channel count {channels!r}")
+    spatial = sidecar.get("spatial")
+    if not (isinstance(spatial, list) and len(spatial) == 2
+            and all(_is_int(s) and s >= 1 for s in spatial)):
+        raise DescriptorFileError(f"descriptor {item_id}: spatial must be [W, H] positive "
+                                  f"integers, got {spatial!r}")
+    data_path = directory / f"{item_id}.f32"
+    try:
+        raw = data_path.read_bytes()
+    except FileNotFoundError:
+        raise DescriptorFileError(f"missing {data_path}") from None
+    if len(raw) != 4 * channels:
+        raise DescriptorFileError(f"descriptor {item_id}: {len(raw)} payload bytes but sidecar "
+                                  f"declares {channels} float32 channels")
     values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if values.shape[0] != sidecar["channels"]:
-        raise ValueError(f"descriptor {item_id}: {values.shape[0]} values but sidecar "
-                         f"declares {sidecar['channels']} channels")
-    return Descriptor(values=values, kind=sidecar["pooling"], spatial=tuple(sidecar["spatial"]))
+    if not np.all(np.isfinite(values)):
+        raise DescriptorFileError(f"descriptor {item_id}: non-finite values")
+    return Descriptor(values=values, kind=kind, spatial=(spatial[0], spatial[1]))

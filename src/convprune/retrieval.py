@@ -2,10 +2,9 @@
 
 The similarity of two descriptors is their channel-wise scalar product with
 each side scaled by a per-image normalization term (the reciprocal root of
-its own energy), i.e. cosine similarity of the pooled vectors. A literal
-variant that multiplies by the root energies instead of dividing is kept
-behind a flag for auditing; it is not ranking-equivalent and nothing in the
-pipeline uses it.
+its own energy), i.e. cosine similarity of the pooled vectors. A query is
+scored against a whole index in one call, on the matrix the index stacks
+when it is built.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .pooling import Descriptor, load_descriptor, save_descriptor
+from .pooling import (Descriptor, DescriptorFileError, _is_int, load_descriptor, read_json_file,
+                      save_descriptor)
 from .tensor import GradientTape, TapeEntry, register_backward
 
 # Below this, a descriptor is treated as degenerate (zero norm): similarity 0.
@@ -29,33 +29,48 @@ def _values(x) -> np.ndarray:
     return x.values if isinstance(x, Descriptor) else np.asarray(x, dtype=np.float64)
 
 
-def similarity(x, y, normalization: str = "reciprocal") -> float:
-    """Similarity of two descriptors (Descriptor objects or plain vectors).
+def similarity(x, y):
+    """Similarity of a descriptor to one descriptor, or to each row of a matrix.
 
-    "reciprocal" divides the scalar product by both root energies (cosine,
-    self-similarity 1); "literal" multiplies by them instead, for audit only.
-    Zero-norm descriptors get similarity 0 with a degenerate-descriptor
-    warning.
+    `x` is a Descriptor or plain vector. `y` is a Descriptor or plain vector
+    (returns a float), or a stacked [N, C] matrix of N descriptor vectors
+    (returns the N scores as an array). The scalar product is divided by both
+    root energies (cosine, self-similarity 1). A zero-norm descriptor, query
+    or row, scores 0 with a degenerate-descriptor warning.
     """
     u, v = _values(x), _values(y)
-    if u.ndim != 1 or v.ndim != 1:
+    if u.ndim != 1 or v.ndim not in (1, 2):
         raise ValueError("similarity compares pooled descriptor vectors; pool feature "
                          "maps first (sqp_pool / rmac_pool)")
-    if u.shape != v.shape:
+    if u.shape[0] != v.shape[-1]:
         raise ValueError(f"descriptor lengths differ: {u.shape} vs {v.shape}")
     if isinstance(x, Descriptor) and isinstance(y, Descriptor) and x.kind != y.kind:
         raise ValueError(f"pooling kinds differ: {x.kind} vs {y.kind}")
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    nu = float(np.linalg.norm(u))
+    if v.ndim == 2:
+        return _similarity_rows(u, nu, v)
+    nv = float(np.linalg.norm(v))
     if nu < ZERO_NORM_TOL or nv < ZERO_NORM_TOL:
         warnings.warn("degenerate zero-norm descriptor; similarity defined as 0",
                       RuntimeWarning, stacklevel=2)
         return 0.0
-    dot = float(u @ v)
-    if normalization == "reciprocal":
-        return dot / (nu * nv)
-    if normalization == "literal":
-        return dot * nu * nv
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return float(u @ v) / (nu * nv)
+
+
+def _similarity_rows(u: np.ndarray, nu: float, rows: np.ndarray) -> np.ndarray:
+    # einsum rather than BLAS gemv: it sums each row's products in the same
+    # order wherever the row sits in the matrix, so equal rows score exactly
+    # equal and ranking ties stay ties.
+    nv = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    degenerate = nv < ZERO_NORM_TOL
+    scores = np.zeros(rows.shape[0])
+    if nu < ZERO_NORM_TOL or degenerate.any():
+        warnings.warn("degenerate zero-norm descriptor; similarity defined as 0",
+                      RuntimeWarning, stacklevel=3)
+        if nu < ZERO_NORM_TOL:
+            return scores
+    np.divide(np.einsum("ij,j->i", rows, u), nu * nv, out=scores, where=~degenerate)
+    return scores
 
 
 def similarity_op(u: np.ndarray, v: np.ndarray, tape: GradientTape) -> np.ndarray:
@@ -95,29 +110,45 @@ register_backward("similarity", _similarity_backward)
 # Index and ranking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IndexEntry:
     item_id: str
     descriptor: Descriptor
     label: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DescriptorIndex:
-    entries: list[IndexEntry]
+    """An immutable set of descriptors to rank against.
+
+    Construction validates the entries and stacks their values, in item-id
+    order, into the read-only [N, C] `matrix` whose rows `ids` names.
+    """
+    entries: tuple[IndexEntry, ...]
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [e.item_id for e in self.entries]
+        entries = tuple(self.entries)
+        ids = [e.item_id for e in entries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate item ids in index")
-        if self.entries:
-            kind = self.entries[0].descriptor.kind
-            length = self.entries[0].descriptor.values.shape[0]
-            for e in self.entries:
-                if e.descriptor.kind != kind:
-                    raise ValueError(f"index mixes pooling kinds ({kind} and {e.descriptor.kind})")
-                if e.descriptor.values.shape[0] != length:
-                    raise ValueError("index mixes descriptor lengths")
+        for e in entries:
+            first = entries[0].descriptor
+            if e.descriptor.kind != first.kind:
+                raise ValueError(f"index mixes pooling kinds ({first.kind} and {e.descriptor.kind})")
+            if e.descriptor.values.ndim != 1:
+                raise ValueError(f"descriptor {e.item_id} is not a vector")
+            if e.descriptor.values.shape != first.values.shape:
+                raise ValueError("index mixes descriptor lengths")
+        length = entries[0].descriptor.values.shape[0] if entries else 0
+        by_id = sorted(entries, key=lambda e: e.item_id)
+        matrix = np.array([e.descriptor.values for e in by_id], dtype=np.float64).reshape(
+            len(by_id), length)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "ids", tuple(e.item_id for e in by_id))
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def kind(self) -> str | None:
@@ -135,11 +166,24 @@ class DescriptorIndex:
 
     @classmethod
     def load(cls, directory: str | Path) -> "DescriptorIndex":
+        """Read a saved index; DescriptorFileError on any malformed file."""
         directory = Path(directory)
-        labels = json.loads((directory / "labels.json").read_text())
-        entries = [IndexEntry(item_id, load_descriptor(item_id, directory), int(label))
-                   for item_id, label in sorted(labels.items())]
-        return cls(entries=entries)
+        labels_path = directory / "labels.json"
+        labels = read_json_file(labels_path)
+        if not isinstance(labels, dict):
+            raise DescriptorFileError(f"{labels_path}: expected an object of item id -> label")
+        entries = []
+        for item_id, label in sorted(labels.items()):
+            if item_id in ("", ".", "..") or any(ch in item_id for ch in "/\\\0"):
+                raise DescriptorFileError(f"{labels_path}: {item_id!r} is not an item id")
+            if not _is_int(label):
+                raise DescriptorFileError(f"{labels_path}: label of {item_id} is {label!r}, "
+                                          "not an integer")
+            entries.append(IndexEntry(item_id, load_descriptor(item_id, directory), label))
+        try:
+            return cls(entries=entries)
+        except ValueError as e:
+            raise DescriptorFileError(f"{directory}: {e}") from None
 
 
 def rank(query: Descriptor, index: DescriptorIndex, exclude_id: str | None = None) -> list[str]:
@@ -148,15 +192,16 @@ def rank(query: Descriptor, index: DescriptorIndex, exclude_id: str | None = Non
     Ties break by item id ascending; `exclude_id` (normally the query's own
     id) is dropped from the ranking.
     """
-    scored = []
+    if not index.entries:
+        return []
+    if isinstance(query, Descriptor) and query.kind != index.kind:
+        raise ValueError(f"pooling kinds differ: {query.kind} vs {index.kind}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # degenerate entries rank by id
-        for e in index.entries:
-            if exclude_id is not None and e.item_id == exclude_id:
-                continue
-            scored.append((-similarity(query, e.descriptor), e.item_id))
-    scored.sort()
-    return [item_id for _, item_id in scored]
+        scores = similarity(query, index.matrix)
+    ids = index.ids
+    # matrix rows are in id order, so a stable sort breaks ties by id
+    return [ids[i] for i in np.argsort(-scores, kind="stable").tolist() if ids[i] != exclude_id]
 
 
 # ---------------------------------------------------------------------------

@@ -213,5 +213,6 @@ def test_load_rejects_mask_weight_inconsistency(tmp_path):
 
 
 def test_tensor_submodule_not_shadowed():
-    from convprune import tensor
+    from convprune import finetune, tensor
     assert tensor.__name__ == "convprune.tensor"
+    assert finetune.__name__ == "convprune.finetune"

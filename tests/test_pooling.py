@@ -1,5 +1,6 @@
 """Pooling against direct formula oracles, plus grid and gradient checks."""
 
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convprune.pooling import (RoiGrid, load_descriptor, pool_backward, pool_features,
+from convprune.pooling import (DescriptorFileError, RoiGrid, load_descriptor, pool_features,
                                rmac_grid, rmac_pool, save_descriptor, sqp_pool)
 from convprune.tensor import GradientTape, ShapeError
 
-from util import fd_gradient, rel_error
+from util import fd_gradient, reference_rmac, rel_error
 
 
 def naive_sqp(x):
@@ -112,9 +113,11 @@ def test_sqp_scale_equivariance(seed, alpha):
 
 
 def test_sqp_backward_zero_map_guarded():
+    x = np.zeros((2, 4, 4))
     tape = GradientTape()
-    d = sqp_pool(np.zeros((2, 4, 4)), tape=tape)
-    g = pool_backward(tape.entries[-1], np.ones(2))
+    d = sqp_pool(x, tape=tape)
+    tape.backward(d.values, upstream=np.ones(2))
+    g = tape.gradient(x)
     assert np.all(g == 0.0)
     assert np.all(np.isfinite(g))
 
@@ -219,12 +222,41 @@ def test_rmac_gradient_routing_counts():
     grid = rmac_grid(6, 6, 2)
     tape = GradientTape()
     d = rmac_pool(x, grid, tape=tape)
-    g = pool_backward(tape.entries[-1], np.ones(3))
+    tape.backward(d.values, upstream=np.ones(3))
+    g = tape.gradient(x)
     assert np.allclose(g.sum(axis=(1, 2)), 1.0, atol=1e-12)
     n = len(grid.regions)
     # every nonzero entry is a multiple of 1/N_ROI
     nz = g[g != 0]
     assert np.allclose(np.round(nz * n), nz * n, atol=1e-9)
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (8, 8), (7, 5), (3, 9), (16, 4), (1, 6)])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_rmac_bitwise_equals_region_scan(width, height, levels):
+    # Values and taped routing exactly equal the per-region loop, on random
+    # maps and on maps full of ties (where the first max in scan order matters).
+    rng = np.random.default_rng(width * 100 + height * 10 + levels)
+    grid = rmac_grid(width, height, levels)
+    for x in (rng.standard_normal((5, height, width)),
+              rng.integers(0, 3, size=(5, height, width)).astype(np.float64),
+              np.zeros((2, height, width))):
+        upstream = rng.standard_normal(x.shape[0])
+        ref_values, ref_grad = reference_rmac(x, grid.regions, upstream)
+        tape = GradientTape()
+        d = rmac_pool(x, grid, tape=tape)
+        tape.backward(d.values, upstream=upstream)
+        assert np.array_equal(d.values, ref_values)
+        assert np.array_equal(tape.gradient(x), ref_grad)
+
+
+def test_pool_features_reuses_grid_per_shape():
+    rng = np.random.default_rng(9)
+    for shape in [(3, 4, 4), (3, 6, 5), (3, 4, 4)]:
+        x = rng.standard_normal(shape)
+        grid = rmac_grid(shape[2], shape[1], 2)
+        assert np.array_equal(pool_features(x, "rmac", levels=2).values,
+                              rmac_pool(x, grid).values)
 
 
 def test_rmac_backward_finite_differences():
@@ -269,3 +301,42 @@ def test_descriptor_roundtrip(tmp_path):
     assert loaded.kind == "sqp"
     assert loaded.spatial == (4, 4)
     assert np.array_equal(loaded.values, d.values.astype(np.float32).astype(np.float64))
+
+
+def _saved_descriptor(tmp_path):
+    d = sqp_pool(np.random.default_rng(10).uniform(0, 1, size=(8, 4, 4)))
+    save_descriptor(d, "item7", tmp_path)
+    return tmp_path / "item7.json", tmp_path / "item7.f32"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda side: side.pop("channels"),
+    lambda side: side.update(spatial="xy"),
+    lambda side: side.update(spatial=[4, 0]),
+    lambda side: side.update(channels=8.0),
+    lambda side: side.update(pooling="gem"),
+    lambda side: side.update(item_id="item8"),
+])
+def test_load_descriptor_rejects_malformed_sidecar(tmp_path, edit):
+    sidecar_path, _ = _saved_descriptor(tmp_path)
+    sidecar = json.loads(sidecar_path.read_text())
+    edit(sidecar)
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(DescriptorFileError):
+        load_descriptor("item7", tmp_path)
+
+
+def test_load_descriptor_rejects_bad_payload_and_missing_files(tmp_path):
+    sidecar_path, data_path = _saved_descriptor(tmp_path)
+    raw = data_path.read_bytes()
+    data_path.write_bytes(raw[:-3])
+    with pytest.raises(DescriptorFileError, match="payload bytes"):
+        load_descriptor("item7", tmp_path)
+    data_path.write_bytes(np.full(8, np.nan, dtype="<f4").tobytes())
+    with pytest.raises(DescriptorFileError, match="non-finite"):
+        load_descriptor("item7", tmp_path)
+    sidecar_path.write_bytes(b"{\"item_id\": \xff")
+    with pytest.raises(DescriptorFileError, match="JSON"):
+        load_descriptor("item7", tmp_path)
+    with pytest.raises(DescriptorFileError, match="missing"):
+        load_descriptor("item9", tmp_path)

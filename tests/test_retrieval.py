@@ -1,11 +1,18 @@
 """Similarity contract, ranking, and metric oracles."""
 
+import dataclasses
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convprune.pooling import Descriptor
+from convprune import retrieval
+from convprune.pooling import Descriptor, DescriptorFileError
 from convprune.retrieval import (DescriptorIndex, EvalResult, IndexEntry, average_precision,
                                  evaluate, rank, recall4, similarity, similarity_op)
 from convprune.tensor import GradientTape
@@ -42,11 +49,6 @@ def test_zero_norm_descriptor_warns_and_returns_zero():
         assert similarity(desc([0.0, 0.0]), desc([1.0, 1.0])) == 0.0
 
 
-def test_literal_normalization_variant():
-    u, v = desc([1, 2, 2]), desc([2, 1, 2])
-    assert similarity(u, v, normalization="literal") == pytest.approx(8.0 * 9.0, abs=1e-12)
-
-
 def test_similarity_rejects_mixed_kinds():
     with pytest.raises(ValueError, match="kind"):
         similarity(desc([1, 0]), desc([1, 0], kind="rmac"))
@@ -60,6 +62,33 @@ def test_similarity_symmetry_and_bound(seed):
     k_uv, k_vu = similarity(u, v), similarity(v, u)
     assert abs(k_uv - k_vu) <= 1e-12
     assert abs(k_uv) <= 1.0 + 1e-12
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_similarity_matrix_matches_pairwise(seed):
+    rng = np.random.default_rng(seed)
+    n, c = int(rng.integers(1, 40)), int(rng.integers(1, 80))
+    rows = rng.standard_normal((n, c)) * rng.uniform(1e-3, 1e3)
+    rows[rng.random(n) < 0.2] = 0.0
+    q = rng.standard_normal(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        scores = similarity(q, rows)
+        pairwise = np.array([similarity(q, r) for r in rows])
+    assert scores.shape == (n,)
+    assert np.abs(scores - pairwise).max() <= 1e-15
+    assert np.all(scores[~rows.any(axis=1)] == 0.0)
+
+
+def test_similarity_matrix_degenerate_and_mismatched():
+    rows = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        assert list(similarity(desc([2.0, 0.0]), rows)) == [1.0, 0.0, 0.6]
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        assert list(similarity(desc([0.0, 0.0]), rows)) == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="lengths"):
+        similarity(desc([1.0, 0.0, 0.0]), rows)
 
 
 def test_similarity_op_matches_and_gradchecks():
@@ -118,6 +147,71 @@ def test_rank_matches_sort_oracle():
     assert rank(q, index) == expected
 
 
+def oracle_rank(query, index, exclude_id=None):
+    """Sort by pairwise similarity, then by id: rank as one loop over entries."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        scored = sorted((-similarity(query, e.descriptor), e.item_id)
+                        for e in index.entries if e.item_id != exclude_id)
+    return [item_id for _, item_id in scored]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_rank_matches_pairwise_oracle_with_exact_ties(seed):
+    # Small-integer vectors: both similarity forms compute every score
+    # exactly the same way, and many scores tie exactly (repeated vectors,
+    # multiples, zero-norm rows and queries). Entries are not in id order.
+    rng = np.random.default_rng(seed)
+    n, c = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+    ids = [f"it{i:03d}" for i in rng.permutation(n)]
+    index = DescriptorIndex(entries=[IndexEntry(iid, desc(rng.integers(-2, 3, size=c)), 0)
+                                     for iid in ids])
+    q = desc(rng.integers(-2, 3, size=c))
+    exclude = [None, ids[0], "absent"][int(rng.integers(3))]
+    assert rank(q, index, exclude_id=exclude) == oracle_rank(q, index, exclude)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_equal_float_rows_score_equal_and_rank_by_id(seed):
+    rng = np.random.default_rng(seed)
+    c, n = int(rng.integers(1, 80)), int(rng.integers(2, 46))
+    rows = np.tile(rng.standard_normal(c), (n, 1))
+    q = desc(rng.standard_normal(c))
+    scores = similarity(q, rows)
+    assert np.all(scores == scores[0])
+    index = make_index(rows)
+    assert rank(q, index) == sorted(index.ids)
+
+
+def test_rank_mismatch_raises_like_oracle():
+    index = make_index([[1.0, 0.0], [0.0, 1.0]])
+    for q in (desc([1.0, 0.0], kind="rmac"), desc([1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            oracle_rank(q, index)
+        with pytest.raises(ValueError):
+            rank(q, index)
+
+
+def test_rank_scores_the_index_in_one_similarity_call(monkeypatch):
+    seen = []
+    pairwise = retrieval.similarity
+    monkeypatch.setattr(retrieval, "similarity", lambda x, y: seen.append(y) or pairwise(x, y))
+    index = make_index(np.random.default_rng(12).uniform(size=(9, 4)))
+    rank(desc([1.0, 2.0, 3.0, 4.0]), index)
+    assert len(seen) == 1 and seen[0] is index.matrix
+
+
+def test_index_is_immutable():
+    index = make_index([[1.0, 0.0], [0.0, 1.0]])
+    assert isinstance(index.entries, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.entries = ()
+    with pytest.raises(ValueError):
+        index.matrix[0, 0] = 5.0
+
+
 def test_index_rejects_duplicates_and_mixed_kinds():
     with pytest.raises(ValueError, match="duplicate"):
         DescriptorIndex(entries=[IndexEntry("a", desc([1.0]), 0), IndexEntry("a", desc([2.0]), 1)])
@@ -135,6 +229,75 @@ def test_ranking_invariant_under_positive_scaling(seed, alpha):
     base = rank(desc(q), make_index(vectors))
     scaled = rank(desc(alpha * q), make_index([alpha * np.asarray(v) for v in vectors]))
     assert base == scaled
+
+
+# ---------------------------------------------------------------------------
+# Index files
+# ---------------------------------------------------------------------------
+
+def save_small_index(directory):
+    rng = np.random.default_rng(13)
+    index = DescriptorIndex(entries=[
+        IndexEntry(f"it{i}", Descriptor(rng.uniform(0.1, 1.0, size=3), "sqp", (4, 4)), i % 2)
+        for i in range(3)])
+    index.save(directory)
+    return index
+
+
+def test_index_load_roundtrip(tmp_path):
+    index = save_small_index(tmp_path)
+    loaded = DescriptorIndex.load(tmp_path)
+    assert loaded.ids == index.ids
+    assert loaded.labels() == index.labels()
+    assert np.array_equal(loaded.matrix, index.matrix.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("labels", [
+    {"it0": 0, "it1": 1, "it2": 0, "it9": 1},  # names an item with no files
+    {"it0": "0", "it1": 1, "it2": 0},
+    {"it0": 0, "../it1": 1},
+    ["it0", "it1"],
+])
+def test_index_load_rejects_bad_labels(tmp_path, labels):
+    save_small_index(tmp_path)
+    (tmp_path / "labels.json").write_text(json.dumps(labels))
+    with pytest.raises(DescriptorFileError):
+        DescriptorIndex.load(tmp_path)
+
+
+def test_index_load_rejects_mixed_kinds(tmp_path):
+    save_small_index(tmp_path)
+    sidecar = json.loads((tmp_path / "it1.json").read_text())
+    sidecar["pooling"] = "rmac"
+    (tmp_path / "it1.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DescriptorFileError, match="kinds"):
+        DescriptorIndex.load(tmp_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 255))
+def test_corrupted_index_loads_consistently_or_raises(file_no, truncate, where, flip):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        save_small_index(directory)
+        path = sorted(directory.iterdir())[file_no]
+        raw = bytearray(path.read_bytes())
+        if truncate:
+            raw = raw[:where % len(raw)]
+        else:
+            raw[where % len(raw)] ^= flip
+        path.write_bytes(bytes(raw))
+        try:
+            index = DescriptorIndex.load(directory)
+        except DescriptorFileError:
+            return
+        labels = json.loads((directory / "labels.json").read_text())
+        assert index.ids == tuple(sorted(labels))
+        assert index.labels() == labels
+        for row, e in zip(index.matrix, sorted(index.entries, key=lambda e: e.item_id)):
+            assert e.descriptor.kind == index.kind
+            assert np.array_equal(row, e.descriptor.values)
+        assert np.all(np.isfinite(index.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -127,3 +127,26 @@ def reference_triplet_grads(model, triplets, dataset, pooling: str, margin: floa
             if gb is not None:
                 grads[idx][1][...] += gb
     return grads, active
+
+
+def reference_rmac(features: np.ndarray, regions, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R-MAC by a loop over regions, as `rmac_pool` computed it before it
+    gathered all regions at once: per region, the first max in row-major
+    region scan, added to a running total in region order; the backward pass
+    adds each region's share of `upstream` at its argmax, in region order.
+    Returns (values, gradient w.r.t. features)."""
+    c = features.shape[0]
+    chan = np.arange(c)
+    total = np.zeros(c)
+    rows, cols = [], []
+    for x0, y0, rw, rh in regions:
+        sub = features[:, y0:y0 + rh, x0:x0 + rw].reshape(c, -1)
+        flat = sub.argmax(axis=1)
+        total += np.take_along_axis(sub, flat[:, None], axis=1)[:, 0]
+        rows.append(y0 + flat // rw)
+        cols.append(x0 + flat % rw)
+    dx = np.zeros_like(features)
+    share = upstream / len(regions)
+    for r, col in zip(rows, cols):
+        dx[chan, r, col] += share
+    return total / len(regions), dx
