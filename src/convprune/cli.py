@@ -125,15 +125,15 @@ def _activation_stats(model, dataset, cfg: ExperimentConfig) -> salience.Activat
 
 def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
                   stats: salience.ActivationStats | None = None):
-    if heuristic == "h1":
-        return salience.salience_h1(model)
-    if heuristic in ("h3", "h4"):
-        fn = salience.salience_h3 if heuristic == "h3" else salience.salience_h4
-        return fn(model, stats if stats is not None else _activation_stats(model, dataset, cfg))
-    triplets = sample_triplets(dataset, cfg.h2_triplets, mode="random",
-                                  seed=[cfg.seed, 997])
-    return salience.salience_h2(model, triplets, dataset, pooling=pooling,
-                                margin=cfg.margin, rmac_levels=cfg.rmac_levels)
+    # gathers the heuristic's inputs; `salience.compute_salience` dispatches
+    if stats is None and heuristic in ("h3", "h4"):
+        stats = _activation_stats(model, dataset, cfg)
+    triplets = None
+    if heuristic == "h2":
+        triplets = sample_triplets(dataset, cfg.h2_triplets, mode="random", seed=[cfg.seed, 997])
+    return salience.compute_salience(heuristic, model, stats=stats, triplets=triplets,
+                                     dataset=dataset, pooling=pooling, margin=cfg.margin,
+                                     rmac_levels=cfg.rmac_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ as packed bits; every segment carries a CRC32 checksum verified on read.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -80,8 +81,10 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ContainerError(f"{path} is not a container (missing manifest or blob)")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IntegrityError(f"manifest in {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"manifest in {path} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"container {path} has format version {version!r}, "
@@ -95,21 +98,47 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if blob_version != FORMAT_VERSION:
         raise VersionError(f"blob in {path} has format version {blob_version}, "
                            f"expected {FORMAT_VERSION}")
+    specs = manifest.get("tensors", [])
+    if not isinstance(specs, list):
+        raise IntegrityError(f"tensor index in {path} is not a list")
     tensors: dict[str, np.ndarray] = {}
-    for spec in manifest.get("tensors", []):
-        start, nbytes = spec["offset"], spec["nbytes"]
+    for spec in specs:
+        name, kind, shape, start, nbytes, crc = _index_entry(spec, path)
+        if name in tensors:
+            raise IntegrityError(f"tensor {name!r} listed twice in {path}")
         data = blob[start:start + nbytes]
         if len(data) != nbytes:
-            raise IntegrityError(f"tensor {spec['name']!r} truncated in {path}")
-        if zlib.crc32(data) != spec["crc32"]:
-            raise IntegrityError(f"tensor {spec['name']!r} failed its checksum in {path}")
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if spec["kind"] == "bits":
+            raise IntegrityError(f"tensor {name!r} truncated in {path}")
+        if zlib.crc32(data) != crc:
+            raise IntegrityError(f"tensor {name!r} failed its checksum in {path}")
+        count = math.prod(shape)
+        if kind == "bits":
             bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
-            tensors[spec["name"]] = bits.astype(bool).reshape(shape)
-        elif spec["kind"] == "f32":
-            tensors[spec["name"]] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+            tensors[name] = bits.astype(bool).reshape(shape)
         else:
-            raise ContainerError(f"tensor {spec['name']!r} has unknown kind {spec['kind']!r}")
+            tensors[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
     return manifest, tensors
+
+
+def _index_entry(spec, path: Path) -> tuple:
+    """(name, kind, shape, offset, nbytes, crc32) of one tensor index entry, checked
+    to be well-formed and to describe exactly `nbytes` bytes of payload."""
+    def natural(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    try:
+        name, kind, shape = spec["name"], spec["kind"], spec["shape"]
+        start, nbytes, crc = spec["offset"], spec["nbytes"], spec["crc32"]
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed tensor index entry in {path}: {spec!r}") from exc
+    if not isinstance(name, str) or not isinstance(shape, list) \
+            or not all(natural(d) for d in shape + [start, nbytes]):
+        raise IntegrityError(f"malformed tensor index entry in {path}: {spec!r}")
+    if kind not in ("bits", "f32"):
+        raise ContainerError(f"tensor {name!r} has unknown kind {kind!r}")
+    count = math.prod(shape)
+    expected = (count + 7) // 8 if kind == "bits" else 4 * count
+    if nbytes != expected:
+        raise IntegrityError(f"tensor {name!r} in {path} declares {nbytes} bytes for "
+                             f"{kind} shape {shape}, expected {expected}")
+    return name, kind, tuple(shape), start, nbytes, crc

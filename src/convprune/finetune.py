@@ -8,7 +8,9 @@ edges stay pruned no matter what the gradients do. Biases train freely.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,37 +163,80 @@ def _split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: st
             for it in dataset.split(split)}
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _workers(n_triplets: int) -> int:
+    """Threads for `triplet_gradients`: one per usable core, capped at the
+    triplet count, when BLAS runs one thread per call (the first of the BLAS
+    thread variables that is set reads 1); otherwise 1. Threads on top of a
+    multi-threaded BLAS oversubscribe the cores and run slower."""
+    pinned = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), None)
+    if pinned != "1":
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, n_triplets))
+
+
+def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float,
+                  rmac_levels: int) -> tuple[float, list | None]:
+    """One triplet on its own tape: three forwards (images as tape constants)
+    and, if the hinge is active, one backward. Returns (loss, per conv layer
+    (weight grad, bias grad), or None when the hinge is inactive or the loss
+    non-finite)."""
+    tape = GradientTape(constants=images)
+    dq, dp, dn = [descriptor_of(model, image, pooling, rmac_levels, tape=tape)
+                  for image in images]
+    loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
+    loss_value = float(loss)
+    if loss_value == 0.0 or not np.isfinite(loss_value):
+        return loss_value, None
+    tape.backward(loss)
+    return loss_value, [(tape.gradient(layer.weights), tape.gradient(layer.bias))
+                        for _, layer in model.conv_layers()]
+
+
 def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, pooling: str,
                       margin: float, rmac_levels: int = 3,
                       where: str = "") -> tuple[dict, float, int]:
     """Per triplet: three tape forwards (images as tape constants) and, if the
     hinge is active, one backward. Returns ({conv layer index: (weight grad
-    sum, bias grad sum)}, summed loss, active hinge count); sums run in
-    triplet order, so they are deterministic."""
+    sum, bias grad sum)}, summed loss, active hinge count).
+
+    Triplets run on `_workers` threads, each on its own tape; the calling
+    thread loads every image first and consumes the results in triplet
+    order, so the first non-finite loss in that order raises and the sums
+    are bitwise those of a serial loop for any worker count."""
     conv_layers = model.conv_layers()
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
+    triplets = list(triplets)
+    images = [[dataset.load_image(i) for i in (t.query, t.positive, t.negative)]
+              for t in triplets]
+
+    def run(triplet_images):
+        return _triplet_pass(model, triplet_images, pooling, margin, rmac_levels)
+
     loss_sum = 0.0
     active = 0
-    for t in triplets:
-        images = [dataset.load_image(i) for i in (t.query, t.positive, t.negative)]
-        tape = GradientTape(constants=images)
-        dq, dp, dn = [descriptor_of(model, image, pooling, rmac_levels, tape=tape)
-                      for image in images]
-        loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
-        loss_value = float(loss)
-        if not np.isfinite(loss_value):
-            raise TrainingDiverged(f"non-finite loss{where}, triplet "
-                                   f"{t.query}/{t.positive}/{t.negative}")
-        loss_sum += loss_value
-        if loss_value == 0.0:
-            continue  # inactive hinge: zero gradient, skip the backward pass
-        active += 1
-        tape.backward(loss)
-        for idx, layer in conv_layers:
-            for acc, g in zip(grads[idx], (tape.gradient(layer.weights),
-                                           tape.gradient(layer.bias))):
-                if g is not None:
-                    acc += g
+    workers = _workers(len(triplets))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        results = map(run, images) if pool is None else pool.map(run, images)
+        for t, (loss_value, layer_grads) in zip(triplets, results):
+            if not np.isfinite(loss_value):
+                raise TrainingDiverged(f"non-finite loss{where}, triplet "
+                                       f"{t.query}/{t.positive}/{t.negative}")
+            loss_sum += loss_value
+            if layer_grads is None:
+                continue  # inactive hinge: zero gradient, no backward pass ran
+            active += 1
+            for (idx, _), pair in zip(conv_layers, layer_grads):
+                for acc, g in zip(grads[idx], pair):
+                    if g is not None:
+                        acc += g
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return grads, loss_sum, active
 
 

@@ -75,17 +75,30 @@ def tinynet_architecture() -> dict:
     }
 
 
-def _check_chain(input_shape, layer_descs) -> None:
+def _natural(desc: dict, key: str, i: int, minimum: int, default=None) -> int:
+    value = desc.get(key, default)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"layer {i}: conv {key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_chain(input_shape, layer_descs) -> dict[int, tuple[int, int, int, int]]:
+    """Validate the layer chain on a (C, H, W) input; returns the weight
+    shape [C_out, C_in, k, k] of each conv layer, by layer index."""
+    if len(input_shape) != 3 or min(input_shape) < 1:
+        raise ShapeError(f"input shape must be (C,H,W) of positive sizes, got {input_shape}")
     if not layer_descs:
         raise ValueError("architecture needs at least one layer")
     if layer_descs[-1]["kind"] not in ("conv", "maxpool2"):
         raise ValueError("final layer must be conv or maxpool2: its output is the "
                          "feature-map stack the descriptors pool over")
     c, h, w = input_shape
+    shapes = {}
     for i, desc in enumerate(layer_descs):
         kind = desc["kind"]
         if kind == "conv":
-            k, s, p = desc["kernel"], desc.get("stride", 1), desc.get("padding", 0)
+            k, s = _natural(desc, "kernel", i, 1), _natural(desc, "stride", i, 1, 1)
+            p = _natural(desc, "padding", i, 0, 0)
             if "in_channels" in desc and desc["in_channels"] != c:
                 raise ShapeError(f"layer {i}: conv expects {desc['in_channels']} input "
                                  f"channels but receives {c}")
@@ -94,7 +107,8 @@ def _check_chain(input_shape, layer_descs) -> None:
                                  f"kernel {k}x{k}")
             h = (h + 2 * p - k) // s + 1
             w = (w + 2 * p - k) // s + 1
-            c = desc["channels"]
+            shapes[i] = (_natural(desc, "channels", i, 1), c, k, k)
+            c = shapes[i][0]
         elif kind == "relu":
             pass
         elif kind == "maxpool2":
@@ -105,29 +119,26 @@ def _check_chain(input_shape, layer_descs) -> None:
             raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
         if h < 1 or w < 1:
             raise ShapeError(f"layer {i}: spatial extent collapsed to {h}x{w}")
+    return shapes
 
 
 def init_network(architecture: dict, seed: int, name: str = "net") -> NetworkModel:
     """Build a model with He-scaled normal weights (std = sqrt(2 / fan_in)),
     zero biases, and all-ones masks. Deterministic for a fixed seed."""
     input_shape = tuple(int(d) for d in architecture["input_shape"])
-    if len(input_shape) != 3:
-        raise ShapeError(f"input shape must be (C,H,W), got {input_shape}")
-    _check_chain(input_shape, architecture["layers"])
+    shapes = _check_chain(input_shape, architecture["layers"])
     rng = np.random.default_rng(seed)
     layers = []
-    c_in = input_shape[0]
-    for desc in architecture["layers"]:
+    for i, desc in enumerate(architecture["layers"]):
         kind = desc["kind"]
         if kind == "conv":
-            c_out, k = desc["channels"], desc["kernel"]
-            fan_in = c_in * k * k
-            weights = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c_out, c_in, k, k))
-            layers.append(ConvLayer(weights=weights, bias=np.zeros(c_out),
-                                    mask=np.ones((c_out, c_in, k, k), dtype=bool),
+            shape = shapes[i]
+            fan_in = shape[1] * shape[2] * shape[3]
+            weights = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+            layers.append(ConvLayer(weights=weights, bias=np.zeros(shape[0]),
+                                    mask=np.ones(shape, dtype=bool),
                                     stride=desc.get("stride", 1),
                                     padding=desc.get("padding", 0)))
-            c_in = c_out
         elif kind == "relu":
             layers.append(ReLULayer())
         elif kind == "maxpool2":
@@ -198,12 +209,38 @@ def save_model(model: NetworkModel, path: str) -> None:
 
 
 def load_model(path: str) -> NetworkModel:
+    """Load a model container. The architecture must form a valid chain and
+    every conv layer's weights, bias and mask must have the shape and kind it
+    implies; anything else raises `container.ContainerError`."""
     manifest, tensors = container.read_container(path)
     if manifest.get("kind") != "model":
         raise container.ContainerError(f"{path} holds {manifest.get('kind')!r}, not a model")
-    arch = manifest["architecture"]
-    input_shape = tuple(int(d) for d in arch["input_shape"])
-    _check_chain(input_shape, arch["layers"])
+    try:
+        arch = manifest["architecture"]
+        input_shape = tuple(int(d) for d in arch["input_shape"])
+        shapes = _check_chain(input_shape, arch["layers"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise container.ContainerError(f"{path}: malformed architecture: {exc!r}") from exc
+    meta = manifest.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise container.ContainerError(f"{path}: metadata is not a JSON object")
+
+    expected = {}
+    for i, shape in shapes.items():
+        expected[f"layers.{i}.weights"] = (shape, np.float64)
+        expected[f"layers.{i}.bias"] = ((shape[0],), np.float64)
+        expected[f"layers.{i}.mask"] = (shape, np.bool_)
+    if set(tensors) != set(expected):
+        raise container.ContainerError(
+            f"{path}: tensors {sorted(tensors)} do not match the architecture's "
+            f"{sorted(expected)}")
+    for name, (shape, dtype) in expected.items():
+        arr = tensors[name]
+        if arr.shape != shape or arr.dtype != dtype:
+            raise container.ContainerError(
+                f"{path}: tensor {name!r} is {arr.dtype} {arr.shape}, the architecture "
+                f"needs {np.dtype(dtype)} {shape}")
+
     layers = []
     for i, desc in enumerate(arch["layers"]):
         kind = desc["kind"]
@@ -215,11 +252,11 @@ def load_model(path: str) -> NetworkModel:
                                     padding=desc.get("padding", 0)))
         elif kind == "relu":
             layers.append(ReLULayer())
-        elif kind == "maxpool2":
-            layers.append(MaxPool2Layer())
         else:
-            raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
-    model = NetworkModel(input_shape=input_shape, layers=layers,
-                         meta=manifest.get("metadata", {}))
-    validate_masks(model)  # reject files whose stored weights violate the masks
+            layers.append(MaxPool2Layer())
+    model = NetworkModel(input_shape=input_shape, layers=layers, meta=meta)
+    try:
+        validate_masks(model)  # reject files whose stored weights violate the masks
+    except ValueError as exc:
+        raise container.ContainerError(f"{path}: {exc}") from exc
     return model

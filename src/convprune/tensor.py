@@ -43,8 +43,9 @@ class TapeEntry:
 
     `inputs` holds references to the exact arrays the op consumed (gradients
     are accumulated per array identity), `ctx` whatever the backward rule
-    needs (saved columns, norms, ...). `needs_grad[i]` is False when input i
-    is a tape constant, whose gradient a backward rule may skip computing.
+    needs besides them (conv stride and padding, norms, argmax positions).
+    `needs_grad[i]` is False when input i is a tape constant, whose gradient
+    a backward rule may skip computing.
     """
     op: str
     inputs: tuple
@@ -65,17 +66,23 @@ class GradientTape:
     """Wengert list: operations recorded in execution order, replayed in
     strict reverse order to accumulate gradients.
 
-    A tape is single-use and single-threaded: one tape per forward/backward
-    pass, never shared. Entries keep references to their input/output arrays
-    so identity-based gradient lookup stays valid for the tape's lifetime.
-    `constants` are arrays (such as input images) whose gradient no caller
-    reads; `gradient()` returns None for them.
+    A tape is single-use and confined to one thread: one tape per
+    forward/backward pass, never shared (separate tapes may run on separate
+    threads). `backward` pops each entry, and the gradient of its output, as
+    it replays it, so saved context, activations and intermediate gradients
+    are freed while the pass runs; afterwards the tape has no entries and a
+    second `backward` raises ValueError. `gradient()` answers for leaves,
+    arrays that no recorded op produced (weights, biases, inputs); the tape
+    keeps each leaf it holds a gradient for alive, so identity lookup stays
+    valid. `constants` are arrays (such as input images) whose gradient no
+    caller reads; `gradient()` returns None for them.
     """
 
     def __init__(self, constants=()):
         self.entries: list[TapeEntry] = []
-        self._grads: dict[int, np.ndarray] = {}
+        self._grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # id -> (array, grad)
         self._constants = {id(c): c for c in constants}
+        self._replayed = False
 
     def record(self, op: str, inputs: tuple, output: np.ndarray, ctx: dict | None = None) -> TapeEntry:
         needs_grad = tuple(id(a) not in self._constants for a in inputs)
@@ -84,23 +91,28 @@ class GradientTape:
         return entry
 
     def backward(self, output: np.ndarray, upstream: np.ndarray | None = None) -> None:
-        """Seed the gradient at `output` and replay all entries in reverse."""
+        """Seed the gradient at `output` and replay all entries in reverse,
+        consuming the tape."""
+        if self._replayed:
+            raise ValueError("backward already ran on this tape; a GradientTape is single-use")
         if not any(e.output is output for e in self.entries):
             raise ValueError("output was not produced by an operation recorded on this tape")
         if upstream is None:
             upstream = np.ones_like(output)
         if upstream.shape != output.shape:
             raise ShapeError(f"upstream gradient shape {upstream.shape} != output shape {output.shape}")
-        self._grads = {id(output): np.asarray(upstream, dtype=np.float64)}
-        for entry in reversed(self.entries):
-            g = self._grads.get(id(entry.output))
-            if g is None:
+        self._replayed = True
+        grads = self._grads = {id(output): (output, np.asarray(upstream, dtype=np.float64))}
+        while self.entries:
+            entry = self.entries.pop()
+            held = grads.pop(id(entry.output), None)
+            if held is None:
                 continue
             try:
                 backward_fn = _BACKWARD_FNS[entry.op]
             except KeyError:
                 raise KeyError(f"no backward rule registered for op {entry.op!r}") from None
-            input_grads = backward_fn(entry, g)
+            input_grads = backward_fn(entry, held[1])
             if not isinstance(input_grads, tuple):
                 input_grads = (input_grads,)
             for arr, ig, needed in zip(entry.inputs, input_grads, entry.needs_grad):
@@ -109,12 +121,13 @@ class GradientTape:
                 if ig.shape != arr.shape:
                     raise ShapeError(f"op {entry.op!r} produced gradient of shape {ig.shape} "
                                      f"for input of shape {arr.shape}")
-                acc = self._grads.get(id(arr))
-                self._grads[id(arr)] = ig if acc is None else acc + ig
+                acc = grads.get(id(arr))
+                grads[id(arr)] = (arr, ig if acc is None else acc[1] + ig)
 
     def gradient(self, arr: np.ndarray) -> np.ndarray | None:
-        """Accumulated gradient for `arr`, or None if nothing flowed to it."""
-        return self._grads.get(id(arr))
+        """Accumulated gradient for the leaf `arr`, or None if nothing flowed to it."""
+        held = self._grads.get(id(arr))
+        return None if held is None else held[1]
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +136,27 @@ class GradientTape:
 
 def _im2col(src: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
     """[C*kH*kW, h_out*w_out] patch matrix of a (padded) [C,H,W] map, built
-    with one strided slice copy per kernel tap."""
-    cols = np.empty((src.shape[0], kh, kw, h_out, w_out))
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = src[:, u:u + (h_out - 1) * stride + 1:stride,
-                                v:v + (w_out - 1) * stride + 1:stride]
+    with one copy of its strided window view: cols[c, u, v, i, j] is
+    src[c, u + i*stride, v + j*stride]."""
+    c, h, w = src.shape
+    if kh + (h_out - 1) * stride > h or kw + (w_out - 1) * stride > w:
+        raise ShapeError(f"{h_out}x{w_out} windows of {kh}x{kw} at stride {stride} "
+                         f"overrun a {h}x{w} map")
+    sc, sh, sw = src.strides
+    windows = np.lib.stride_tricks.as_strided(
+        src, (c, kh, kw, h_out, w_out), (sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    cols = np.empty((c, kh, kw, h_out, w_out))
+    cols[...] = windows
     return cols.reshape(-1, h_out * w_out)
+
+
+def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+               h_out: int, w_out: int) -> np.ndarray:
+    """im2col of a [C,H,W] input after copying it into a zero-padded buffer."""
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    xp[:, padding:padding + h, padding:padding + w] = x
+    return _im2col(xp, kh, kw, stride, h_out, w_out)
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -160,24 +187,22 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"padded input {h + 2 * padding}x{w + 2 * padding} smaller than "
                          f"kernel {kh}x{kw}")
 
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, padding:padding + h, padding:padding + w] = x
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    out = weights.reshape(c_out, -1) @ cols
+    out = weights.reshape(c_out, -1) @ _conv_cols(x, kh, kw, stride, padding, h_out, w_out)
     out = np.add(out, bias[:, None], out=out).reshape(c_out, h_out, w_out)
     if tape is not None:
-        tape.record("conv2d", (x, weights, bias), out,
-                    {"cols": cols, "stride": stride, "padding": padding})
+        tape.record("conv2d", (x, weights, bias), out, {"stride": stride, "padding": padding})
     return out
 
 
 def conv2d_backward(entry: TapeEntry, upstream: np.ndarray):
     """Gradients of a recorded conv2d: (input_grad, weight_grad, bias_grad).
 
-    The input gradient, None for a tape constant, is a transposed convolution:
-    the dilated, padded upstream correlated with the rotated, channel-swapped kernels.
+    The weight gradient rebuilds the forward's im2col columns from the
+    recorded input, so the tape holds no column buffer. The input gradient,
+    None for a tape constant, is a transposed convolution: the dilated,
+    padded upstream correlated with the rotated, channel-swapped kernels.
     """
     if not isinstance(entry, TapeEntry) or entry.op != "conv2d":
         raise ValueError("conv2d_backward needs a conv2d tape entry")
@@ -188,7 +213,8 @@ def conv2d_backward(entry: TapeEntry, upstream: np.ndarray):
 
     g_mat = upstream.reshape(c_out, -1)
     bias_grad = upstream.sum(axis=(1, 2))
-    weight_grad = (g_mat @ entry.ctx["cols"].T).reshape(weights.shape)
+    weight_grad = (g_mat @ _conv_cols(x, kh, kw, stride, padding, h_out, w_out).T
+                   ).reshape(weights.shape)
     if not entry.needs_grad[0]:
         return None, weight_grad, bias_grad
 

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from convprune.dataset import generate_dataset
-from convprune.network import init_network
+# Run the suite the way the benchmark runs the program: BLAS reads its thread
+# count when numpy first loads it, so pin it before numpy is imported. With
+# BLAS at one thread, `triplet_gradients` runs triplets on one thread per core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from convprune.dataset import generate_dataset  # noqa: E402
+from convprune.network import init_network  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,28 @@ def test_thread_cap_env(workspace, monkeypatch, tmp_path, capsys):
         assert "no effect" not in err
 
 
+def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypatch):
+    from convprune import cli, salience
+    from convprune.finetune import sample_triplets
+    model = load_model(str(workspace / "baseline"))
+    dataset = RetrievalDataset.load(workspace / "data")
+    cfg = ExperimentConfig(seed=3, h2_triplets=8, stats_images=16)
+    calls = []
+    dispatch = salience.compute_salience
+    monkeypatch.setattr(salience, "compute_salience",
+                        lambda h, m, **kw: calls.append((h, kw)) or dispatch(h, m, **kw))
+    maps = {h: cli._salience_for(h, model, dataset, cfg, "rmac") for h in salience.HEURISTICS}
+    assert [h for h, _ in calls] == list(salience.HEURISTICS)
+    kwargs = dict(calls)
+    assert kwargs["h1"]["stats"] is None and kwargs["h2"]["stats"] is None
+    assert kwargs["h3"]["stats"].sample_count == 16
+    assert kwargs["h2"]["triplets"] == sample_triplets(dataset, 8, seed=[3, 997])
+    direct = salience.salience_h2(model, kwargs["h2"]["triplets"], dataset, pooling="rmac",
+                                  margin=cfg.margin, rmac_levels=cfg.rmac_levels)
+    for idx, scores in direct.scores.items():
+        assert np.array_equal(maps["h2"].scores[idx], scores)
+
+
 def test_descriptor_index_roundtrip(workspace):
     from convprune.retrieval import DescriptorIndex
     index = DescriptorIndex.load(workspace / "desc_sqp")

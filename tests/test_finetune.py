@@ -1,10 +1,14 @@
 """Triplet loss, sampling, and the mask-preserving SGD loop."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from convprune.finetune import (FinetuneConfig, TrainingDiverged, Triplet, finetune,
-                                sample_triplets, sgd_batch_step, train_baseline,
+from convprune import finetune as finetune_module
+from convprune.finetune import (FinetuneConfig, TrainingDiverged, Triplet, descriptor_of,
+                                finetune, sample_triplets, sgd_batch_step, train_baseline,
                                 triplet_gradients, triplet_loss, triplet_loss_op)
 from convprune.network import clone_model, forward_features, init_network
 from convprune.pooling import sqp_pool
@@ -13,7 +17,8 @@ from convprune.retrieval import similarity
 from convprune.salience import salience_h1, salience_h2
 from convprune.tensor import GradientTape
 
-from util import build_dataset, fd_gradient, reference_triplet_grads, rel_error
+from util import (ArrayDataset, build_dataset, fd_gradient, reference_triplet_grads,
+                  rel_error)
 
 
 def vec_with_cosine(k):
@@ -341,3 +346,71 @@ def test_shared_loop_all_inactive_batch(small_dataset, small_arch):
     assert not any(g.any() for pair in grads.values() for g in pair)
     with pytest.warns(RuntimeWarning, match="inactive"):
         salience_h2(model, triplets, small_dataset, margin=margin)
+
+
+# ---------------------------------------------------------------------------
+# Parallel triplets: results independent of the worker count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_triplet_gradients_bitwise_equal_for_every_worker_count(small_dataset, small_arch,
+                                                                pooling, monkeypatch):
+    model = init_network(small_arch, seed=4)
+    model, _ = apply_pruning(model, salience_h1(model), 0.6)
+    # query == positive with a margin below 1 - K(q, n) keeps two hinges inactive
+    a, b, c, d = (it.item_id for it in small_dataset.split("train")[:4])
+    desc = {i: descriptor_of(model, small_dataset.load_image(i), pooling).values
+            for i in (a, b, c, d)}
+    margin = min(1.0 - similarity(desc[a], desc[b]), 1.0 - similarity(desc[c], desc[d])) / 2
+    triplets = sample_triplets(small_dataset, 11, seed=6)
+    triplets[3:3] = [Triplet(a, a, b)]
+    triplets[8:8] = [Triplet(c, c, d)]
+    ref, ref_active = reference_triplet_grads(model, triplets, small_dataset, pooling, margin)
+    assert 0 < ref_active < len(triplets)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
+            results.append(triplet_gradients(model, triplets, small_dataset, pooling, margin))
+    finally:
+        sys.setswitchinterval(interval)
+    for grads, loss, active in results:
+        assert loss == results[0][1]
+        assert active == ref_active
+        for idx, _layer in model.conv_layers():
+            assert np.array_equal(grads[idx][0], ref[idx][0])
+            assert np.array_equal(grads[idx][1], ref[idx][1])
+
+
+def test_first_diverged_triplet_in_order_raises_with_two_workers(small_dataset, monkeypatch):
+    ids = [it.item_id for it in small_dataset.split("train")]
+    images = {i: small_dataset.load_image(i) for i in ids}
+    images["nan2"] = np.full_like(images[ids[0]], np.nan)
+    images["nan4"] = images["nan2"].copy()
+    triplets = [Triplet(ids[k], ids[k + 1], ids[k + 9]) for k in range(6)]
+    triplets[2] = Triplet("nan2", ids[0], ids[1])
+    triplets[4] = Triplet("nan4", ids[0], ids[1])
+    model = init_network({"input_shape": list(images[ids[0]].shape),
+                          "layers": [{"kind": "conv", "channels": 4, "kernel": 3,
+                                      "stride": 1, "padding": 1}]}, seed=2)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    with pytest.raises(TrainingDiverged, match=f"batch 7, triplet nan2/{ids[0]}/{ids[1]}"):
+        triplet_gradients(model, triplets, ArrayDataset(images), "sqp", 0.1, where=" at batch 7")
+
+
+def test_worker_rule_follows_blas_thread_pin(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert finetune_module._workers(16) == 1  # BLAS threads unpinned
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert finetune_module._workers(16) == 3  # one per usable core
+    assert finetune_module._workers(2) == 2  # capped at the triplet count
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")  # read before OMP_NUM_THREADS
+    assert finetune_module._workers(16) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read first of all
+    assert finetune_module._workers(16) == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert finetune_module._workers(16) == 1

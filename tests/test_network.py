@@ -1,11 +1,15 @@
 """Model init, forward extraction, mask invariant, and serialization."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convprune.container import IntegrityError, VersionError
+from convprune.container import ContainerError, IntegrityError, VersionError, write_container
 from convprune.network import (clone_model, forward_features, init_network, load_model,
                                save_model, tinynet_architecture, validate_masks)
 from convprune.tensor import ShapeError
@@ -210,6 +214,96 @@ def test_load_rejects_mask_weight_inconsistency(tmp_path):
     save_model(model, str(path))
     with pytest.raises(ValueError, match="zero mask"):
         load_model(str(path))
+
+
+def _edit_manifest(path, edit) -> None:
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_load_rejects_channels_that_disagree_with_weights(tmp_path):
+    path = tmp_path / "model"
+    save_model(init_network(tinynet_architecture(), seed=1), str(path))
+    _edit_manifest(path, lambda m: m["architecture"]["layers"][2].update(channels=8))
+    with pytest.raises(ContainerError, match="layers.2.weights"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("architecture"),
+    lambda m: m["architecture"].pop("layers"),
+    lambda m: m["architecture"]["layers"][0].update(kernel="3"),
+    lambda m: m["architecture"]["layers"][0].update(stride=0),
+    lambda m: m["architecture"]["layers"][1].update(kind="tanh"),
+    lambda m: m["architecture"].update(input_shape=[2, 8]),
+    lambda m: m.update(metadata=[1]),
+], ids=["no-architecture", "no-layers", "string-kernel", "zero-stride", "unknown-kind",
+        "rank-2-input", "list-metadata"])
+def test_load_rejects_malformed_architecture(tmp_path, edit):
+    path = tmp_path / "model"
+    save_model(init_network(small_arch(), seed=2), str(path))
+    _edit_manifest(path, edit)
+    with pytest.raises(ContainerError):
+        load_model(str(path))
+
+
+def test_load_rejects_missing_tensor(tmp_path):
+    path = tmp_path / "model"
+    save_model(init_network(small_arch(), seed=3), str(path))
+    _edit_manifest(path, lambda m: m.update(
+        tensors=[t for t in m["tensors"] if t["name"] != "layers.3.bias"]))
+    with pytest.raises(ContainerError, match="layers.3.bias"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("name,replacement", [
+    ("layers.3.bias", np.zeros((4, 4))),
+    ("layers.0.mask", np.ones((3, 2, 3, 3))),
+    ("layers.0.weights", np.ones((3, 2, 3, 3), dtype=bool)),
+    ("layers.1.weights", np.zeros(1)),
+], ids=["bias-4x4", "float-mask", "bool-weights", "tensor-for-relu"])
+def test_load_rejects_tensor_the_architecture_does_not_imply(tmp_path, name, replacement):
+    model = init_network(small_arch(), seed=4)
+    tensors = {}
+    for i, layer in model.conv_layers():
+        tensors.update({f"layers.{i}.weights": layer.weights, f"layers.{i}.bias": layer.bias,
+                        f"layers.{i}.mask": layer.mask})
+    tensors[name] = replacement
+    path = tmp_path / "model"
+    write_container(path, {"kind": "model", "architecture": model.architecture(),
+                           "metadata": {}}, list(tensors.items()))
+    with pytest.raises(ContainerError, match=name):
+        load_model(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 255))
+def test_corrupted_model_loads_consistently_or_raises(blob, truncate, where, flip):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        save_model(init_network(small_arch(), seed=5), str(path))
+        target = path / ("tensors.bin" if blob else "manifest.json")
+        raw = bytearray(target.read_bytes())
+        if truncate:
+            raw = raw[:where % len(raw)]
+        else:
+            raw[where % len(raw)] ^= flip
+        target.write_bytes(bytes(raw))
+        try:
+            model = load_model(str(path))
+        except ContainerError:
+            return
+    arch = model.architecture()
+    rebuilt = init_network(arch, seed=0)  # the architecture is a valid chain
+    for (_, layer), (_, fresh) in zip(model.conv_layers(), rebuilt.conv_layers()):
+        assert layer.weights.shape == fresh.weights.shape == layer.mask.shape
+        assert layer.bias.shape == fresh.bias.shape
+        assert layer.weights.dtype == np.float64 and layer.mask.dtype == np.bool_
+    validate_masks(model)
+    assert isinstance(model.meta, dict)
+    out = forward_features(model, np.zeros(model.input_shape))
+    assert np.all(np.isfinite(out))
 
 
 def test_tensor_submodule_not_shadowed():

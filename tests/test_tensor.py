@@ -360,6 +360,42 @@ def test_tape_reverse_order_and_accumulation():
     assert tape.gradient(w)[0, 0, 0, 0] == 4.0  # 1 + 3
 
 
+def test_im2col_rejects_windows_that_overrun_the_map():
+    from convprune.tensor import _im2col
+    src = np.arange(18.0).reshape(2, 3, 3)
+    assert _im2col(src, 2, 2, 1, 2, 2).shape == (8, 4)
+    with pytest.raises(ShapeError, match="overrun"):
+        _im2col(src, 2, 2, 1, 3, 2)  # the strided view would read past the buffer
+    with pytest.raises(ShapeError, match="overrun"):
+        _im2col(src, 2, 2, 2, 1, 2)
+
+
+def test_conv_tape_entry_holds_no_im2col():
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((2, 6, 6))
+    tape = GradientTape()
+    conv2d_forward(x, rng.standard_normal((3, 2, 3, 3)), np.zeros(3), 2, 1, tape=tape)
+    (entry,) = tape.entries
+    assert entry.ctx == {"stride": 2, "padding": 1}
+
+
+def test_backward_consumes_tape_and_is_single_use():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((2, 6, 6))
+    w = rng.standard_normal((3, 2, 3, 3))
+    b = rng.standard_normal(3)
+    tape = GradientTape()
+    hidden = relu_forward(conv2d_forward(x, w, b, 1, 1, tape=tape), tape=tape)
+    out = maxpool2_forward(hidden, tape=tape)
+    tape.backward(out)
+    assert tape.entries == []
+    # leaves keep their gradients; intermediate ones were freed during the pass
+    assert tape.gradient(w) is not None and tape.gradient(x) is not None
+    assert tape.gradient(hidden) is None
+    with pytest.raises(ValueError, match="single-use"):
+        tape.backward(out)
+
+
 def test_tape_backward_rejects_unknown_output():
     tape = GradientTape()
     conv2d_forward(np.ones((1, 2, 2)), np.ones((1, 1, 2, 2)), np.zeros(1), tape=tape)
