@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -21,8 +20,11 @@ from pathlib import Path
 from . import dataset as ds
 from . import network as net
 from . import pruner, retrieval, salience
-from .finetune import (FinetuneConfig, descriptor_of, finetune as run_finetune,
-                       sample_triplets, train_baseline)
+# descriptor_of is unused here but stays bound: perfbench/tracer.py wraps
+# `cli.descriptor_of` by name and fails if the name is missing
+from .finetune import (MINING_MODES, FinetuneConfig, descriptor_of,  # noqa: F401
+                       finetune as run_finetune, sample_triplets, split_descriptors,
+                       train_baseline)
 from .pooling import POOLING_KINDS
 
 DEFAULT_KEEP_FRACTIONS = (0.5, 0.4, 0.3, 0.2, 0.1)
@@ -33,13 +35,14 @@ class ExperimentConfig:
     heuristics: list[str] = field(default_factory=lambda: list(salience.HEURISTICS))
     keep_fractions: list[float] = field(default_factory=lambda: list(DEFAULT_KEEP_FRACTIONS))
     poolings: list[str] = field(default_factory=lambda: list(POOLING_KINDS))
-    epochs: int = 20
-    margin: float = 0.1
+    # fine-tune settings: the defaults and the validation are FinetuneConfig's
+    epochs: int = FinetuneConfig.epochs
+    margin: float = FinetuneConfig.margin
     learning_rate: float = FinetuneConfig.learning_rate
-    batch_size: int = 16
-    mining: str = "random"
-    rmac_levels: int = 3
-    seed: int = 0
+    batch_size: int = FinetuneConfig.batch_size
+    mining: str = FinetuneConfig.mining
+    rmac_levels: int = FinetuneConfig.rmac_levels
+    seed: int = FinetuneConfig.seed
     stats_images: int = 256   # samples for h3/h4 activation statistics
     h2_triplets: int = 64     # triplet batch for h2 salience
     data: str = ""
@@ -54,8 +57,7 @@ class ExperimentConfig:
             if h not in salience.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
         for p in self.poolings:
-            if p not in POOLING_KINDS:
-                raise ValueError(f"unknown pooling {p!r}")
+            self.finetune_config(p)  # rejects bad settings before any point runs
 
     @classmethod
     def from_file(cls, path: str, overrides: dict) -> "ExperimentConfig":
@@ -68,51 +70,33 @@ class ExperimentConfig:
         return cls(**data)
 
     def finetune_config(self, pooling: str) -> FinetuneConfig:
-        return FinetuneConfig(margin=self.margin, learning_rate=self.learning_rate,
-                              epochs=self.epochs, batch_size=self.batch_size,
-                              seed=self.seed, mining=self.mining, pooling=pooling,
-                              rmac_levels=self.rmac_levels)
-
-
-def _apply_thread_cap() -> None:
-    # CONVPRUNE_THREADS caps BLAS parallelism through threadpoolctl. Without
-    # it, or with a non-integer value, the cap has no effect and one stderr
-    # line says so (results stay correct either way).
-    cap = os.environ.get("CONVPRUNE_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError) as exc:
-        print(f"warning: CONVPRUNE_THREADS={cap} had no effect ({exc})", file=sys.stderr)
+        """The FinetuneConfig for one pooling; fields that both configs have
+        are copied by name, the rest keep FinetuneConfig's defaults."""
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(FinetuneConfig)
+                  if f.name in own}
+        return FinetuneConfig(pooling=pooling, **shared)
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _extract_split(model, dataset, split: str, pooling: str, rmac_levels: int):
-    out = {}
-    for item in dataset.split(split):
-        out[item.item_id] = descriptor_of(model, dataset.load_image(item.item_id),
-                                          pooling, rmac_levels)
-    return out
+def _descriptor_index(dataset, descriptors: dict) -> retrieval.DescriptorIndex:
+    entries = [retrieval.IndexEntry(iid, d, dataset.label_of(iid))
+               for iid, d in sorted(descriptors.items())]
+    return retrieval.DescriptorIndex(entries=entries)
 
 
-def evaluate_model(model, dataset, pooling: str, rmac_levels: int = 3,
+def evaluate_model(model, dataset, pooling: str, rmac_levels: int = FinetuneConfig.rmac_levels,
                    save_index_to: str | Path | None = None) -> retrieval.EvalResult:
     """Index the "index" split, query the "query" split, score mAP / recall@4."""
-    index_descs = _extract_split(model, dataset, "index", pooling, rmac_levels)
-    entries = [retrieval.IndexEntry(iid, d, dataset.label_of(iid))
-               for iid, d in sorted(index_descs.items())]
-    index = retrieval.DescriptorIndex(entries=entries)
+    index = _descriptor_index(dataset, split_descriptors(model, dataset, "index", pooling,
+                                                         rmac_levels))
     if save_index_to is not None:
         index.save(save_index_to)
-    queries = []
-    for item in dataset.split("query"):
-        desc = descriptor_of(model, dataset.load_image(item.item_id), pooling, rmac_levels)
-        queries.append((item.item_id, desc, set(dataset.relevant[item.item_id])))
+    queries = [(iid, desc, set(dataset.relevant[iid])) for iid, desc in
+               split_descriptors(model, dataset, "query", pooling, rmac_levels).items()]
     return retrieval.evaluate(index, queries)
 
 
@@ -140,6 +124,12 @@ def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _training_config(args) -> FinetuneConfig:
+    return FinetuneConfig(margin=args.margin, learning_rate=args.lr, epochs=args.epochs,
+                          batch_size=args.batch_size, seed=args.seed,
+                          mining=args.mining, pooling=args.pooling)
+
+
 def cmd_gen_dataset(args) -> int:
     shape = tuple(int(d) for d in args.shape.split("x"))
     ds.generate_dataset(args.out, instances=args.instances,
@@ -154,9 +144,7 @@ def cmd_train(args) -> int:
         arch = net.tinynet_architecture()
     else:
         arch = json.loads(Path(args.arch).read_text())
-    cfg = FinetuneConfig(margin=args.margin, learning_rate=args.lr, epochs=args.epochs,
-                            batch_size=args.batch_size, seed=args.seed,
-                            mining=args.mining, pooling=args.pooling)
+    cfg = _training_config(args)
     model = train_baseline(arch, dataset, cfg)
     net.save_model(model, args.out)
     last = model.meta["history"][-1]
@@ -184,9 +172,7 @@ def cmd_prune(args) -> int:
 def cmd_finetune(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
-    cfg = FinetuneConfig(margin=args.margin, learning_rate=args.lr, epochs=args.epochs,
-                            batch_size=args.batch_size, seed=args.seed,
-                            mining=args.mining, pooling=args.pooling)
+    cfg = _training_config(args)
     tuned, log = run_finetune(model, dataset, cfg)
     net.save_model(tuned, args.out)
     if args.log:
@@ -201,11 +187,9 @@ def cmd_finetune(args) -> int:
 def cmd_extract(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
-    descs = _extract_split(model, dataset, args.split, args.pooling, args.rmac_levels)
+    descs = split_descriptors(model, dataset, args.split, args.pooling, args.rmac_levels)
     out = Path(args.out)
-    entries = [retrieval.IndexEntry(iid, d, dataset.label_of(iid))
-               for iid, d in sorted(descs.items())]
-    retrieval.DescriptorIndex(entries=entries).save(out)
+    _descriptor_index(dataset, descs).save(out)
     print(f"extracted {len(descs)} {args.pooling} descriptors to {out}")
     return 0
 
@@ -336,6 +320,17 @@ def cmd_pipeline(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The fine-tune flags of `train` and `finetune`; `_training_config` reads them."""
+    p.add_argument("--epochs", type=int, default=FinetuneConfig.epochs)
+    p.add_argument("--margin", type=float, default=FinetuneConfig.margin)
+    p.add_argument("--lr", type=float, default=FinetuneConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=FinetuneConfig.batch_size)
+    p.add_argument("--mining", choices=MINING_MODES, default=FinetuneConfig.mining)
+    p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
+    p.add_argument("--seed", type=int, default=FinetuneConfig.seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="convprune",
                                      description="Prune, fine-tune, and evaluate small retrieval CNNs")
@@ -353,13 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--arch", default="tinynet", help="'tinynet' or a JSON architecture file")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=FinetuneConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--mining", choices=["random", "hard"], default="random")
-    p.add_argument("--pooling", choices=list(POOLING_KINDS), default="sqp")
-    p.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("prune", help="prune a model with one heuristic")
@@ -368,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", choices=list(salience.HEURISTICS), required=True)
     p.add_argument("--keep", type=float, required=True)
     p.add_argument("--data", default="", help="dataset (needed for h2/h3/h4)")
-    p.add_argument("--pooling", choices=list(POOLING_KINDS), default="sqp")
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
+    p.add_argument("--margin", type=float, default=FinetuneConfig.margin)
+    p.add_argument("--seed", type=int, default=FinetuneConfig.seed)
     p.add_argument("--report", default="", help="write the prune report JSON here")
     p.set_defaults(fn=cmd_prune)
 
@@ -378,13 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=FinetuneConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--mining", choices=["random", "hard"], default="random")
-    p.add_argument("--pooling", choices=list(POOLING_KINDS), default="sqp")
-    p.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p)
     p.add_argument("--log", default="", help="write a JSON-lines training log here")
     p.set_defaults(fn=cmd_finetune)
 
@@ -393,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=["train", "index", "query"], default="index")
-    p.add_argument("--pooling", choices=list(POOLING_KINDS), default="sqp")
-    p.add_argument("--rmac-levels", type=int, default=3)
+    p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
+    p.add_argument("--rmac-levels", type=int, default=FinetuneConfig.rmac_levels)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("evaluate", help="score retrieval quality of a model")
@@ -402,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="eval result JSON")
     p.add_argument("--csv", default="", help="also write per-query CSV here")
-    p.add_argument("--pooling", choices=list(POOLING_KINDS), default="sqp")
-    p.add_argument("--rmac-levels", type=int, default=3)
+    p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
+    p.add_argument("--rmac-levels", type=int, default=FinetuneConfig.rmac_levels)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("report", help="render a report JSON (prune/eval) to CSV")
@@ -428,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,4 @@
-"""Manifest + blob container used for models and salience maps.
+"""Manifest + blob container used for models.
 
 A container is a directory holding `manifest.json` (format version, payload
 metadata, tensor index) and `tensors.bin` (8-byte header, then one segment

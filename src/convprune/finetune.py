@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import RetrievalDataset
 from .network import NetworkModel, clone_model, forward_features, init_network, validate_masks
-from .pooling import Descriptor, pool_features
+from .pooling import POOLING_KINDS, Descriptor, pool_features
 from .retrieval import similarity, similarity_op
 from .tensor import GradientTape, TapeEntry, register_backward
 
@@ -27,6 +27,9 @@ class Triplet:
     query: str
     positive: str
     negative: str
+
+
+MINING_MODES = ("random", "hard")
 
 
 @dataclass
@@ -39,20 +42,29 @@ class FinetuneConfig:
     epochs: int = 20
     batch_size: int = 16
     seed: int = 0
-    mining: str = "random"        # "random" | "hard"
-    pooling: str = "sqp"
+    mining: str = "random"        # one of MINING_MODES
+    pooling: str = "sqp"          # one of POOLING_KINDS
     rmac_levels: int = 3
     hard_pool_size: int = 32
 
     def __post_init__(self):
-        if self.margin <= 0:
+        if not self.margin > 0:  # also rejects NaN
             raise ValueError(f"margin must be positive, got {self.margin}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.mining not in ("random", "hard"):
+        if self.mining not in MINING_MODES:
             raise ValueError(f"unknown mining mode {self.mining!r}")
+        if self.pooling not in POOLING_KINDS:
+            raise ValueError(f"unknown pooling {self.pooling!r}")
+        if self.rmac_levels < 1:
+            raise ValueError(f"rmac levels must be >= 1, got {self.rmac_levels}")
+        if self.hard_pool_size < 1:
+            raise ValueError(f"hard pool size must be >= 1, got {self.hard_pool_size}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -156,10 +168,11 @@ def descriptor_of(model: NetworkModel, image: np.ndarray, pooling: str,
     return pool_features(feats, pooling, levels=rmac_levels, tape=tape)
 
 
-def _split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str,
-                       cfg: FinetuneConfig) -> dict[str, Descriptor]:
-    return {it.item_id: descriptor_of(model, dataset.load_image(it.item_id),
-                                      cfg.pooling, cfg.rmac_levels)
+def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str,
+                      pooling: str, rmac_levels: int) -> dict[str, Descriptor]:
+    """{item id: descriptor} for every item of `split`, in split order."""
+    return {it.item_id: descriptor_of(model, dataset.load_image(it.item_id), pooling,
+                                      rmac_levels)
             for it in dataset.split(split)}
 
 
@@ -276,7 +289,8 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
         t_start = time.perf_counter()
         descriptors = None
         if config.mining == "hard":
-            descriptors = _split_descriptors(model, dataset, "train", config)
+            descriptors = split_descriptors(model, dataset, "train", config.pooling,
+                                            config.rmac_levels)
         triplets = sample_triplets(dataset, triplets_per_epoch, mode=config.mining,
                                    seed=[config.seed, epoch], descriptors=descriptors,
                                    pool_size=config.hard_pool_size)

@@ -125,8 +125,6 @@ def apply_pruning(model: NetworkModel, salience: SalienceMap,
 
     pruned = clone_model(model)
     tie_count = 0
-    rows = []
-    conv_counter = 0
     for idx, layer in pruned.conv_layers():
         to_remove = removal[idx]
         flat_w = layer.weights.reshape(-1)
@@ -136,10 +134,7 @@ def apply_pruning(model: NetworkModel, salience: SalienceMap,
         if np.isfinite(threshold):
             live_scores = salience.scores[idx].reshape(-1)[masks[idx].reshape(-1)]
             tie_count += int(np.count_nonzero(live_scores == threshold))
-        rows.append(LayerPruneRow(name=f"conv{conv_counter}", layer_index=idx,
-                                  total=int(layer.mask.size),
-                                  remaining=int(layer.mask.sum())))
-        conv_counter += 1
+    rows = layer_size_report(pruned).layers
     unmasked_after = sum(r.remaining for r in rows)
     achieved = unmasked_after / unmasked_before if unmasked_before else 0.0
     report = PruneReport(heuristic=salience.heuristic, target_keep_fraction=keep_fraction,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import container
 from .dataset import RetrievalDataset
 from .finetune import triplet_gradients
 from .network import NetworkModel, forward_features
@@ -124,20 +123,6 @@ class SalienceMap:
                 raise ValueError(f"layer {idx}: scores must be finite and nonnegative")
             if np.any(s[~layer.mask] != 0.0):
                 raise ValueError(f"layer {idx}: nonzero score at a masked position")
-
-    def save(self, path: str) -> None:
-        tensors = [(f"layers.{idx}.scores", s) for idx, s in sorted(self.scores.items())]
-        container.write_container(path, {"kind": "salience", "heuristic": self.heuristic,
-                                         "fingerprint": self.fingerprint}, tensors)
-
-    @classmethod
-    def load(cls, path: str) -> "SalienceMap":
-        manifest, tensors = container.read_container(path)
-        if manifest.get("kind") != "salience":
-            raise container.ContainerError(f"{path} holds {manifest.get('kind')!r}, not a salience map")
-        scores = {int(name.split(".")[1]): arr for name, arr in tensors.items()}
-        return cls(heuristic=manifest["heuristic"], scores=scores,
-                   fingerprint=manifest.get("fingerprint"))
 
 
 def salience_h1(model: NetworkModel) -> SalienceMap:

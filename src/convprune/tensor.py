@@ -22,11 +22,6 @@ class ShapeError(ValueError):
     """Operation inputs violate a shape precondition."""
 
 
-def tensor(data) -> np.ndarray:
-    """Coerce nested lists / arrays to the in-memory tensor type (float64)."""
-    return np.asarray(data, dtype=np.float64)
-
-
 def _require_f64(name: str, arr: np.ndarray) -> None:
     if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
         raise TypeError(f"{name} must be a float64 ndarray, got {type(arr).__name__}"

@@ -8,7 +8,9 @@ import pytest
 
 from convprune.cli import ExperimentConfig, evaluate_model, main, run_pipeline
 from convprune.dataset import RetrievalDataset
+from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
+from convprune.pooling import POOLING_KINDS
 
 from util import build_dataset
 
@@ -146,19 +148,6 @@ def test_runtime_error_exit_code_1(tmp_path):
     assert main(["gen-dataset", "--out", str(tmp_path / "bad"), "--shape", "4x8x8"]) == 1
 
 
-def test_thread_cap_env(workspace, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("CONVPRUNE_THREADS", "1")
-    assert main(["evaluate", "--model", str(workspace / "baseline"),
-                 "--data", str(workspace / "data"), "--out", str(tmp_path / "e.json")]) == 0
-    err = capsys.readouterr().err
-    try:
-        import threadpoolctl  # noqa: F401
-    except ImportError:
-        assert err.count("CONVPRUNE_THREADS=1 had no effect") == 1
-    else:
-        assert "no effect" not in err
-
-
 def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypatch):
     from convprune import cli, salience
     from convprune.finetune import sample_triplets
@@ -181,6 +170,28 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
         assert np.array_equal(maps["h2"].scores[idx], scores)
 
 
+def test_extract_writes_the_index_evaluate_saves(workspace, tmp_path):
+    assert main(["extract", "--model", str(workspace / "baseline"),
+                 "--data", str(workspace / "data"), "--split", "index",
+                 "--pooling", "rmac", "--out", str(tmp_path / "extracted")]) == 0
+    model = load_model(str(workspace / "baseline"))
+    dataset = RetrievalDataset.load(workspace / "data")
+    evaluate_model(model, dataset, "rmac", save_index_to=tmp_path / "saved")
+    names = sorted(p.name for p in (tmp_path / "extracted").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "saved").iterdir())
+    for name in names:
+        assert ((tmp_path / "extracted" / name).read_bytes()
+                == (tmp_path / "saved" / name).read_bytes())
+
+
+def test_split_descriptors_keep_split_order(workspace):
+    from convprune.finetune import split_descriptors
+    model = load_model(str(workspace / "baseline"))
+    dataset = RetrievalDataset.load(workspace / "data")
+    descs = split_descriptors(model, dataset, "query", "sqp", rmac_levels=3)
+    assert list(descs) == [it.item_id for it in dataset.split("query")]
+
+
 def test_descriptor_index_roundtrip(workspace):
     from convprune.retrieval import DescriptorIndex
     index = DescriptorIndex.load(workspace / "desc_sqp")
@@ -200,6 +211,32 @@ def test_experiment_config_validation(tmp_path):
     cfg_path.write_text(json.dumps({"heuristics": ["h1"], "epochs": 3}))
     cfg = ExperimentConfig.from_file(str(cfg_path), {"epochs": 5})
     assert cfg.epochs == 5 and cfg.heuristics == ["h1"]
+
+
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"margin": 0.0}, {"batch_size": 0},
+                                 {"mining": "bogus"}, {"learning_rate": -0.2},
+                                 {"rmac_levels": 0}])
+def test_experiment_config_rejects_bad_finetune_settings(bad, tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_file(str(cfg_path), {})
+
+
+@pytest.mark.parametrize("pooling", POOLING_KINDS)
+def test_experiment_config_finetune_defaults_are_finetune_configs(pooling):
+    assert ExperimentConfig().finetune_config(pooling) == FinetuneConfig(pooling=pooling)
+
+
+def test_pipeline_bad_config_fails_before_any_output(workspace, tmp_path):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--data", str(workspace / "data"),
+                 "--model", str(workspace / "baseline"), "--out", str(out),
+                 "--heuristic", "h1", "--keep", "0.5", "--pooling", "sqp",
+                 "--epochs", "0"]) == 1
+    assert not out.exists()
 
 
 def test_pipeline_rows_and_t1_consistency(workspace):

@@ -241,6 +241,17 @@ def test_hard_mining_epoch_runs(small_dataset, small_arch):
     assert len(log) == 1
 
 
+@pytest.mark.parametrize("bad", [{"margin": float("nan")}, {"pooling": "bogus"},
+                                 {"rmac_levels": 0}, {"learning_rate": -0.2},
+                                 {"learning_rate": 0.0}, {"learning_rate": float("nan")},
+                                 {"learning_rate": float("inf")}, {"hard_pool_size": 0}])
+def test_config_rejects_invalid_settings(bad):
+    # each of these used to pass construction and fail, or train wrongly, later
+    (field,) = bad
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        FinetuneConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # Gradient correctness through the whole micro pipeline
 # ---------------------------------------------------------------------------

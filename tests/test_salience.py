@@ -276,16 +276,3 @@ def test_compute_salience_dispatch_and_validation():
         compute_salience("h3", model)
     with pytest.raises(ValueError, match="unknown heuristic"):
         compute_salience("h9", model)
-
-
-def test_salience_map_container_roundtrip(tmp_path):
-    model, dataset, triplets = micro_setup(seed=3)
-    smap = salience_h2(model, triplets, dataset, margin=0.1)
-    path = tmp_path / "salience"
-    smap.save(str(path))
-    from convprune.salience import SalienceMap
-    loaded = SalienceMap.load(str(path))
-    assert loaded.heuristic == "h2"
-    assert loaded.fingerprint == smap.fingerprint
-    stored = smap.scores[0].astype(np.float32).astype(np.float64)
-    assert np.array_equal(loaded.scores[0], stored)

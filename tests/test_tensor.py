@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from convprune.tensor import (GradientTape, ShapeError, conv2d_backward, conv2d_forward,
                               maxpool2_backward, maxpool2_forward, relu_backward,
-                              relu_forward, tensor)
+                              relu_forward)
 
 from util import fd_gradient, nudge_from_zero, pool_safe, rel_error
+
+
+def tensor(data) -> np.ndarray:
+    return np.asarray(data, dtype=np.float64)
 
 
 def naive_conv2d(x, w, b, stride, padding):
