@@ -23,8 +23,8 @@ from . import pruner, retrieval, salience
 # descriptor_of is unused here but stays bound: perfbench/tracer.py wraps
 # `cli.descriptor_of` by name and fails if the name is missing
 from .finetune import (MINING_MODES, FinetuneConfig, descriptor_of,  # noqa: F401
-                       finetune as run_finetune, sample_triplets, split_descriptors,
-                       train_baseline)
+                       finetune as run_finetune, require_int, sample_triplets,
+                       split_descriptors, train_baseline)
 from .pooling import POOLING_KINDS
 
 DEFAULT_KEEP_FRACTIONS = (0.5, 0.4, 0.3, 0.2, 0.1)
@@ -50,9 +50,15 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
+        for name in ("heuristics", "keep_fractions", "poolings"):
+            values = getattr(self, name)
+            if not (isinstance(values, (list, tuple)) and values):
+                raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+        require_int(self, "stats_images", 1)
+        require_int(self, "h2_triplets", 1)
         for t in self.keep_fractions:
-            if not 0.0 < t <= 1.0:
-                raise ValueError(f"keep fraction {t} outside (0, 1]")
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
+                raise ValueError(f"keep fraction must be a number in (0, 1], got {t!r}")
         for h in self.heuristics:
             if h not in salience.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")

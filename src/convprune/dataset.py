@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,10 +26,16 @@ CPTN_VERSION = 1
 # magic(4) + version(u16) + rank(u16) + four u32 dims, unused dims zero
 _CPTN_HEADER = struct.Struct("<4sHH4I")
 
+DATASET_FORMAT_VERSION = 1
+
 # Per-instance split assignment: image 0 is the query, the next up-to-4 go
 # to the index (so default datasets give every query exactly 4 relevant
 # items), the rest are training images.
 INDEX_IMAGES_PER_INSTANCE = 4
+
+
+class DatasetError(ValueError):
+    """A dataset manifest or image file (CPTN or PPM) is missing or malformed."""
 
 
 def save_tensor(arr: np.ndarray, path: str | Path) -> None:
@@ -40,31 +47,45 @@ def save_tensor(arr: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except (FileNotFoundError, IsADirectoryError):
+        raise DatasetError(f"missing {path}") from None
+
+
 def load_tensor(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    """A CPTN file as a float64 array; DatasetError if it is malformed or
+    holds a non-finite value."""
+    raw = _read_bytes(path)
     if len(raw) < _CPTN_HEADER.size:
-        raise ValueError(f"{path}: truncated tensor file")
+        raise DatasetError(f"{path}: truncated tensor file")
     magic, version, rank, *dims = _CPTN_HEADER.unpack_from(raw)
     if magic != CPTN_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise DatasetError(f"{path}: bad magic {magic!r}")
     if version != CPTN_VERSION:
-        raise ValueError(f"{path}: unsupported tensor format version {version}")
+        raise DatasetError(f"{path}: unsupported tensor format version {version}")
     if not 1 <= rank <= 4:
-        raise ValueError(f"{path}: bad rank {rank}")
+        raise DatasetError(f"{path}: bad rank {rank}")
     shape = tuple(dims[:rank])
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = raw[_CPTN_HEADER.size:]
     if len(payload) != 4 * count:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {4 * count}")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+        raise DatasetError(f"{path}: payload holds {len(payload)} bytes, expected {4 * count}")
+    arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DatasetError(f"{path}: non-finite values")
+    return arr
 
 
 def load_ppm(path: str | Path) -> np.ndarray:
-    """Binary PPM (P6) to a float64 [3,H,W] tensor scaled to [0,1]."""
-    raw = Path(path).read_bytes()
+    """Binary PPM (P6, maxval 255) to a float64 [3,H,W] tensor scaled to
+    [0,1]; DatasetError if the header is malformed or the pixel data is not
+    exactly H*W*3 bytes."""
+    raw = _read_bytes(path)
     fields: list[bytes] = []
     pos = 0
-    while len(fields) < 4:
+    while len(fields) < 4 and pos < len(raw):
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         if raw[pos:pos + 1] == b"#":
@@ -75,13 +96,20 @@ def load_ppm(path: str | Path) -> np.ndarray:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    if fields[0] != b"P6":
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
+    if not fields or fields[0] != b"P6":
+        raise DatasetError(f"{path}: not a binary PPM (P6) file")
+    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+        raise DatasetError(f"{path}: malformed PPM header {b' '.join(fields)!r}")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
+        raise DatasetError(f"{path}: only maxval 255 is supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise DatasetError(f"{path}: empty {width}x{height} image")
     pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
+    if len(raw) - pos != width * height * 3:
+        raise DatasetError(f"{path}: {max(0, len(raw) - pos)} pixel bytes, a {width}x{height} "
+                           f"image needs {width * height * 3}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=pos)
     return pixels.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -145,19 +173,57 @@ def _sample_composition(rng: np.random.Generator) -> tuple[list[dict], np.ndarra
 class DatasetItem:
     item_id: str
     label: int
-    split: str   # "train" | "index" | "query"
+    split: str   # one of SPLITS
     path: str    # relative to the dataset directory
 
 
+SPLITS = ("train", "index", "query")
+_ITEM_KEYS = {"item_id", "label", "split", "path"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _manifest_item(entry) -> DatasetItem:
+    if not isinstance(entry, dict) or set(entry) != _ITEM_KEYS:
+        raise DatasetError(f"manifest item needs exactly the keys {sorted(_ITEM_KEYS)}, "
+                           f"got {entry!r}")
+    item = DatasetItem(**entry)
+    if not (isinstance(item.item_id, str) and _is_int(item.label) and item.split in SPLITS
+            and isinstance(item.path, str) and item.path):
+        raise DatasetError(f"malformed manifest item {entry!r}")
+    return item
+
+
 class RetrievalDataset:
-    """Labeled image tensors with query/relevance structure."""
+    """Labeled image tensors with query/relevance structure. A malformed
+    manifest, or an image file that is malformed or does not have the
+    manifest's image shape, raises DatasetError."""
 
     def __init__(self, root: Path, manifest: dict):
         self.root = Path(root)
+        if not isinstance(manifest, dict):
+            raise DatasetError("dataset manifest is not a JSON object")
+        if manifest.get("format_version") != DATASET_FORMAT_VERSION:
+            raise DatasetError(f"dataset manifest has format version "
+                               f"{manifest.get('format_version')!r}, expected "
+                               f"{DATASET_FORMAT_VERSION}")
+        shape = manifest.get("image_shape")
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(_is_int(d) and d >= 1 for d in shape)):
+            raise DatasetError(f"image_shape must be three positive integers, got {shape!r}")
+        items, relevant = manifest.get("items"), manifest.get("relevant")
+        if not isinstance(items, list):
+            raise DatasetError("manifest items must be a list")
+        if not (isinstance(relevant, dict)
+                and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                        for ids in relevant.values())):
+            raise DatasetError("manifest relevant must map each query id to a list of item ids")
         self.manifest = manifest
-        self.image_shape = tuple(int(d) for d in manifest["image_shape"])
-        self.items = [DatasetItem(**it) for it in manifest["items"]]
-        self.relevant = {q: list(ids) for q, ids in manifest["relevant"].items()}
+        self.image_shape = tuple(shape)
+        self.items = [_manifest_item(it) for it in items]
+        self.relevant = {q: list(ids) for q, ids in relevant.items()}
         self._by_id = {it.item_id: it for it in self.items}
         self._cache: dict[str, np.ndarray] = {}
         manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
@@ -166,18 +232,18 @@ class RetrievalDataset:
 
     def _validate(self) -> None:
         if len(self._by_id) != len(self.items):
-            raise ValueError("duplicate item ids in dataset manifest")
+            raise DatasetError("duplicate item ids in dataset manifest")
         index_ids = {it.item_id for it in self.split("index")}
         for qid, rel in self.relevant.items():
             if qid not in self._by_id:
-                raise ValueError(f"relevant table names unknown query {qid!r}")
+                raise DatasetError(f"relevant table names unknown query {qid!r}")
             if not rel:
-                raise ValueError(f"query {qid!r} has an empty relevant set")
+                raise DatasetError(f"query {qid!r} has an empty relevant set")
             if qid in rel:
-                raise ValueError(f"query {qid!r} lists itself as relevant")
+                raise DatasetError(f"query {qid!r} lists itself as relevant")
             for rid in rel:
                 if rid not in index_ids:
-                    raise ValueError(f"query {qid!r} lists non-index item {rid!r} as relevant")
+                    raise DatasetError(f"query {qid!r} lists non-index item {rid!r} as relevant")
 
     def split(self, name: str) -> list[DatasetItem]:
         return [it for it in self.items if it.split == name]
@@ -189,15 +255,20 @@ class RetrievalDataset:
         if item_id not in self._cache:
             arr = load_image_file(self.root / self._by_id[item_id].path)
             if tuple(arr.shape) != self.image_shape:
-                raise ValueError(f"item {item_id!r} has shape {arr.shape}, manifest "
-                                 f"declares {self.image_shape}")
+                raise DatasetError(f"item {item_id!r} has shape {arr.shape}, manifest "
+                                   f"declares {self.image_shape}")
             self._cache[item_id] = arr
         return self._cache[item_id]
 
     @classmethod
     def load(cls, root: str | Path) -> "RetrievalDataset":
         root = Path(root)
-        manifest = json.loads((root / "manifest.json").read_text())
+        path = root / "manifest.json"
+        raw = _read_bytes(path)
+        try:
+            manifest = json.loads(raw)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DatasetError(f"{path}: not valid JSON ({exc})") from None
         return cls(root, manifest)
 
 
@@ -244,7 +315,7 @@ def generate_dataset(out_dir: str | Path, instances: int = 40, images_per_instan
         relevant[query_id] = [iid for iid, split in ids if split == "index"]
 
     manifest = {
-        "format_version": 1,
+        "format_version": DATASET_FORMAT_VERSION,
         "image_shape": list(shape),
         "seed": int(seed),
         "instances": int(instances),

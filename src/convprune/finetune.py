@@ -19,7 +19,7 @@ from .dataset import RetrievalDataset
 from .network import NetworkModel, clone_model, forward_features, init_network, validate_masks
 from .pooling import POOLING_KINDS, Descriptor, pool_features
 from .retrieval import similarity, similarity_op
-from .tensor import GradientTape, TapeEntry, register_backward
+from .tensor import GradientTape, TapeEntry, register_backward, stack_item
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,22 @@ class FinetuneConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning rate must be finite and positive, "
                              f"got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                              ("rmac_levels", 1), ("hard_pool_size", 1)):
+            require_int(self, name, minimum)
         if self.mining not in MINING_MODES:
             raise ValueError(f"unknown mining mode {self.mining!r}")
         if self.pooling not in POOLING_KINDS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.rmac_levels < 1:
-            raise ValueError(f"rmac levels must be >= 1, got {self.rmac_levels}")
-        if self.hard_pool_size < 1:
-            raise ValueError(f"hard pool size must be >= 1, got {self.hard_pool_size}")
+
+
+def require_int(config, name: str, minimum: int) -> None:
+    """ValueError unless the field `name` of `config` is an integer (not a
+    bool) >= `minimum`."""
+    value = getattr(config, name)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name.replace('_', ' ')} must be an integer >= {minimum}, "
+                         f"got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -163,9 +167,15 @@ def sample_triplets(dataset: RetrievalDataset, count: int, mode: str = "random",
 # ---------------------------------------------------------------------------
 
 def descriptor_of(model: NetworkModel, image: np.ndarray, pooling: str,
-                  rmac_levels: int = 3, tape: GradientTape | None = None) -> Descriptor:
+                  rmac_levels: int = 3,
+                  tape: GradientTape | None = None) -> Descriptor | list[Descriptor]:
+    """The descriptor of a [C,H,W] image, or the list of descriptors of an
+    image-major [N,C,H,W] stack, which runs the network once for all N."""
     feats = forward_features(model, image, tape=tape)
-    return pool_features(feats, pooling, levels=rmac_levels, tape=tape)
+    if feats.ndim == 3:
+        return pool_features(feats, pooling, levels=rmac_levels, tape=tape)
+    return [pool_features(stack_item(feats, n, tape), pooling, levels=rmac_levels, tape=tape)
+            for n in range(len(feats))]
 
 
 def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str,
@@ -193,13 +203,13 @@ def _workers(n_triplets: int) -> int:
 
 def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float,
                   rmac_levels: int) -> tuple[float, list | None]:
-    """One triplet on its own tape: three forwards (images as tape constants)
-    and, if the hinge is active, one backward. Returns (loss, per conv layer
-    (weight grad, bias grad), or None when the hinge is inactive or the loss
-    non-finite)."""
-    tape = GradientTape(constants=images)
-    dq, dp, dn = [descriptor_of(model, image, pooling, rmac_levels, tape=tape)
-                  for image in images]
+    """One triplet on its own tape: one forward of the [3,C,H,W] stack of its
+    query, positive and negative images (a tape constant) and, if the hinge
+    is active, one backward. Returns (loss, per conv layer (weight grad,
+    bias grad), or None when the hinge is inactive or the loss non-finite)."""
+    stack = np.stack(images)
+    tape = GradientTape(constants=(stack,))
+    dq, dp, dn = descriptor_of(model, stack, pooling, rmac_levels, tape=tape)
     loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
     loss_value = float(loss)
     if loss_value == 0.0 or not np.isfinite(loss_value):
@@ -212,9 +222,10 @@ def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float
 def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, pooling: str,
                       margin: float, rmac_levels: int = 3,
                       where: str = "") -> tuple[dict, float, int]:
-    """Per triplet: three tape forwards (images as tape constants) and, if the
-    hinge is active, one backward. Returns ({conv layer index: (weight grad
-    sum, bias grad sum)}, summed loss, active hinge count).
+    """Per triplet: one tape forward of its three images, stacked (a tape
+    constant), and, if the hinge is active, one backward. Returns ({conv
+    layer index: (weight grad sum, bias grad sum)}, summed loss, active
+    hinge count).
 
     Triplets run on `_workers` threads, each on its own tape; the calling
     thread loads every image first and consumes the results in triplet

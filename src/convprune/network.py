@@ -150,14 +150,16 @@ def init_network(architecture: dict, seed: int, name: str = "net") -> NetworkMod
 def forward_features(model: NetworkModel, image: np.ndarray,
                      tape: GradientTape | None = None,
                      conv_inputs: list | None = None) -> np.ndarray:
-    """Run the layer chain and return the final feature-map stack.
+    """Run the layer chain and return the final feature-map stack: [C,H,W]
+    for a [C,H,W] image, [N,C,H,W] for an image-major stack of N images.
 
     `conv_inputs`, when given, collects (layer index, input activation) for
     every conv layer; the salience module uses this to gather activation
     statistics without a second forward implementation.
     """
-    if tuple(image.shape) != tuple(model.input_shape):
-        raise ShapeError(f"image shape {image.shape} != model input shape {model.input_shape}")
+    if image.ndim not in (3, 4) or tuple(image.shape[-3:]) != tuple(model.input_shape):
+        raise ShapeError(f"image shape {image.shape} is neither the model input shape "
+                         f"{model.input_shape} nor a stack of it")
     h = image
     for i, layer in enumerate(model.layers):
         if isinstance(layer, ConvLayer):

@@ -3,9 +3,11 @@
 Tensors are plain numpy float64 arrays of rank 1-4. Only the primitives the
 retrieval network actually needs are implemented: 2-D convolution
 (cross-correlation, no kernel flip), ReLU, and non-overlapping 2x2 max
-pooling. Other modules (pooling, similarity, hinge loss) register their own
-backward rules through `register_backward`, so one tape can replay a full
-descriptor-plus-loss pipeline.
+pooling, each on one [C,H,W] image or an image-major [N,C,H,W] stack, and
+`stack_item`, which splits a stack back into images. Other modules
+(pooling, similarity, hinge loss) register their own backward rules through
+`register_backward`, so one tape can replay a full descriptor-plus-loss
+pipeline.
 
 All computation happens in float64; storage formats may narrow to float32
 but arrays are widened before they reach these ops.
@@ -128,10 +130,26 @@ class GradientTape:
 # ---------------------------------------------------------------------------
 # Convolution (cross-correlation)
 # ---------------------------------------------------------------------------
+#
+# The conv, ReLU and max-pool ops take a [C,H,W] image or an image-major
+# [N,C,H,W] stack; a rank-3 call runs as a one-image stack. A stacked conv
+# still does one im2col and one GEMM per image, into that image's slice of
+# the output, and its backward adds the per-image weight and bias gradients
+# in reverse image order, the order in which a tape of per-image entries
+# would add them. So every result of a stacked op is bitwise that of the
+# rank-3 ops applied image by image. Im2col, padding and transposed-conv
+# buffers have the size of one image; a stack reuses its im2col buffers.
 
-def _im2col(src: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+def _stack(x: np.ndarray) -> np.ndarray:
+    """A [C,H,W] image as a one-image stack; a [N,C,H,W] stack unchanged."""
+    return x[None] if x.ndim == 3 else x
+
+
+def _im2col(src: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int,
+            out: np.ndarray | None = None) -> np.ndarray:
     """[C*kH*kW, h_out*w_out] patch matrix of a (padded) [C,H,W] map, built
-    with one copy of its strided window view: cols[c, u, v, i, j] is
+    with one copy of its strided window view into `out` (a previous result
+    of the same shape, reused) or a new buffer: cols[c, u, v, i, j] is
     src[c, u + i*stride, v + j*stride]."""
     c, h, w = src.shape
     if kh + (h_out - 1) * stride > h or kw + (w_out - 1) * stride > w:
@@ -140,85 +158,141 @@ def _im2col(src: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: i
     sc, sh, sw = src.strides
     windows = np.lib.stride_tricks.as_strided(
         src, (c, kh, kw, h_out, w_out), (sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    cols = np.empty((c, kh, kw, h_out, w_out))
+    cols = np.empty((c, kh, kw, h_out, w_out)) if out is None else out.reshape(windows.shape)
     cols[...] = windows
     return cols.reshape(-1, h_out * w_out)
 
 
-def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-               h_out: int, w_out: int) -> np.ndarray:
-    """im2col of a [C,H,W] input after copying it into a zero-padded buffer."""
-    c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
-    xp[:, padding:padding + h, padding:padding + w] = x
-    return _im2col(xp, kh, kw, stride, h_out, w_out)
+def _padded(image: np.ndarray, padding: int) -> np.ndarray:
+    """A [C,H,W] image copied into a zero-padded buffer (the image itself for
+    padding 0)."""
+    if padding == 0:
+        return image
+    c, h, w = image.shape
+    buf = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    buf[:, padding:padding + h, padding:padding + w] = image
+    return buf
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    stride: int = 1, padding: int = 0,
                    tape: GradientTape | None = None) -> np.ndarray:
-    """2-D cross-correlation of a [C_in,H,W] input with [C_out,C_in,kH,kW] kernels.
+    """2-D cross-correlation of a [C_in,H,W] input, or of every image of an
+    [N,C_in,H,W] stack, with [C_out,C_in,kH,kW] kernels.
 
     Output spatial dims: floor((H + 2*padding - kH)/stride) + 1, same for W.
     """
     _require_f64("input", x)
     _require_f64("weights", weights)
     _require_f64("bias", bias)
-    if x.ndim != 3:
-        raise ShapeError(f"conv input must be rank 3 [C,H,W], got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"conv input must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
     if weights.ndim != 4:
         raise ShapeError(f"conv weights must be rank 4 [C_out,C_in,kH,kW], got shape {weights.shape}")
     c_out, c_in, kh, kw = weights.shape
-    if x.shape[0] != c_in:
-        raise ShapeError(f"input has {x.shape[0]} channels but weights expect {c_in}")
+    if x.shape[-3] != c_in:
+        raise ShapeError(f"input has {x.shape[-3]} channels but weights expect {c_in}")
     if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} != ({c_out},)")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"padding must be >= 0, got {padding}")
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"padded input {h + 2 * padding}x{w + 2 * padding} smaller than "
                          f"kernel {kh}x{kw}")
 
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (w + 2 * padding - kw) // stride + 1
-    out = weights.reshape(c_out, -1) @ _conv_cols(x, kh, kw, stride, padding, h_out, w_out)
-    out = np.add(out, bias[:, None], out=out).reshape(c_out, h_out, w_out)
+    stack = _stack(x)
+    w_mat = weights.reshape(c_out, -1)
+    cols = out = None
+    for n, image in enumerate(stack):
+        cols = _im2col(_padded(image, padding), kh, kw, stride, h_out, w_out, cols)
+        if out is None:
+            # allocated only after the first padded copy is freed, so that it
+            # can reuse that memory while it is in cache: a single-image
+            # forward runs measurably faster than with the output allocated first
+            out = np.empty((len(stack), c_out, h_out * w_out))
+        np.matmul(w_mat, cols, out=out[n])
+    out += bias[:, None]
+    out = out.reshape(x.shape[:-3] + (c_out, h_out, w_out))
     if tape is not None:
         tape.record("conv2d", (x, weights, bias), out, {"stride": stride, "padding": padding})
     return out
 
 
+def _weight_grad_from_upstream(weights_shape: tuple, in_hw: tuple, out_hw: tuple) -> bool:
+    """Where a conv's weight gradient comes from, by shape alone (so a pass
+    with tape constants rounds exactly like one without): from the
+    transposed-conv columns of the upstream gradient, which the input
+    gradient builds anyway, unless they hold over twice as many entries as
+    the input's im2col (tinynet's 3-channel first conv); then from a rebuild
+    of that im2col."""
+    c_out, c_in = weights_shape[:2]
+    return c_out * in_hw[0] * in_hw[1] <= 2 * c_in * out_hw[0] * out_hw[1]
+
+
 def conv2d_backward(entry: TapeEntry, upstream: np.ndarray):
     """Gradients of a recorded conv2d: (input_grad, weight_grad, bias_grad).
 
-    The weight gradient rebuilds the forward's im2col columns from the
-    recorded input, so the tape holds no column buffer. The input gradient,
-    None for a tape constant, is a transposed convolution: the dilated,
-    padded upstream correlated with the rotated, channel-swapped kernels.
+    The input gradient, None for a tape constant, is a transposed
+    convolution: the dilated, padded upstream's columns times the rotated,
+    channel-swapped kernels. The weight gradient is either the input
+    [C_in, H*W] times those columns, flipped back and transposed, or the
+    upstream times a rebuild of the forward's im2col (chosen by
+    `_weight_grad_from_upstream`); either way the tape holds no column
+    buffer. A stack's per-image weight and bias gradients are added in
+    reverse image order.
     """
     if not isinstance(entry, TapeEntry) or entry.op != "conv2d":
         raise ValueError("conv2d_backward needs a conv2d tape entry")
     x, weights, _bias = entry.inputs
     stride, padding = entry.ctx["stride"], entry.ctx["padding"]
-    (c_out, c_in, kh, kw), (_, h, w) = weights.shape, x.shape
-    h_out, w_out = upstream.shape[1], upstream.shape[2]
+    c_out, c_in, kh, kw = weights.shape
+    xs, gs = _stack(x), _stack(upstream)
+    h, w = xs.shape[2:]
+    h_out, w_out = gs.shape[2:]
+    need_dx = entry.needs_grad[0]
+    from_upstream = _weight_grad_from_upstream(weights.shape, (h, w), (h_out, w_out))
 
-    g_mat = upstream.reshape(c_out, -1)
-    bias_grad = upstream.sum(axis=(1, 2))
-    weight_grad = (g_mat @ _conv_cols(x, kh, kw, stride, padding, h_out, w_out).T
-                   ).reshape(weights.shape)
-    if not entry.needs_grad[0]:
-        return None, weight_grad, bias_grad
-
-    # dilated, offset upstream: output (i, j) sits at gp[:, kH-1 + i*stride, kW-1 + j*stride]
-    gp = np.zeros((c_out, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1))
-    gp[:, kh - 1:kh + (h_out - 1) * stride:stride, kw - 1:kw + (w_out - 1) * stride:stride] = upstream
-    cols = _im2col(gp[:, padding:, padding:], kh, kw, 1, h, w)
-    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-    return (flipped @ cols).reshape(c_in, h, w), weight_grad, bias_grad
+    dx = np.empty(xs.shape) if need_dx else None
+    if need_dx or from_upstream:
+        # dilated, offset upstream: output (i, j) sits at gp[:, kH-1 + i*stride, kW-1 + j*stride]
+        gp = np.zeros((c_out, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1))
+        dilated = gp[:, kh - 1:kh + (h_out - 1) * stride:stride,
+                     kw - 1:kw + (w_out - 1) * stride:stride]
+        flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    # weight_acc is [C_in, C_out*kH*kW] (flipped taps) from the upstream
+    # columns, [C_out, C_in*kH*kW] from the input's
+    weight_acc = bias_grad = cols = in_cols = None
+    for n in reversed(range(len(xs))):
+        g = gs[n]
+        if need_dx or from_upstream:
+            dilated[...] = g
+            cols = _im2col(gp[:, padding:, padding:], kh, kw, 1, h, w, cols)
+        if from_upstream:
+            wg = xs[n].reshape(c_in, -1) @ cols.T
+        else:
+            in_cols = _im2col(_padded(xs[n], padding), kh, kw, stride, h_out, w_out, in_cols)
+            wg = g.reshape(c_out, -1) @ in_cols.T
+        if need_dx:
+            np.matmul(flipped, cols, out=dx[n].reshape(c_in, -1))
+        bg = g.sum(axis=(1, 2))
+        if weight_acc is None:
+            weight_acc, bias_grad = wg, bg
+        else:
+            weight_acc += wg
+            bias_grad += bg
+    if from_upstream:
+        weight_grad = np.ascontiguousarray(
+            weight_acc.reshape(c_in, c_out, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    else:
+        weight_grad = weight_acc.reshape(weights.shape)
+    if dx is not None and x.ndim == 3:
+        dx = dx[0]
+    return dx, weight_grad, bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +321,16 @@ def relu_backward(entry: TapeEntry, upstream: np.ndarray):
 
 def _pool_taps(x: np.ndarray):
     """Strided views of window positions (0,0),(0,1),(1,0),(1,1) of the 2x2 windows."""
-    return [x[:, r::2, s::2] for r in (0, 1) for s in (0, 1)]
+    return [x[..., r::2, s::2] for r in (0, 1) for s in (0, 1)]
 
 
 def maxpool2_forward(x: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
-    """Non-overlapping 2x2 max pool; requires even spatial dims."""
+    """Non-overlapping 2x2 max pool of a [C,H,W] image or [N,C,H,W] stack;
+    requires even spatial dims."""
     _require_f64("input", x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool input must be rank 3 [C,H,W], got shape {x.shape}")
-    _, h, w = x.shape
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"maxpool input must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
     a, b, c, d = _pool_taps(x)
@@ -282,6 +357,27 @@ def maxpool2_backward(entry: TapeEntry, upstream: np.ndarray):
     return (dx,)
 
 
+# ---------------------------------------------------------------------------
+# Stack items
+# ---------------------------------------------------------------------------
+
+def stack_item(stack: np.ndarray, index: int, tape: GradientTape | None = None) -> np.ndarray:
+    """Image `index` of an image-major stack, as a view; on a tape its
+    gradient flows back into that image's slice of the stack."""
+    out = stack[index]
+    if tape is not None:
+        tape.record("stack_item", (stack,), out, {"index": index})
+    return out
+
+
+def _stack_item_backward(entry: TapeEntry, upstream: np.ndarray):
+    (stack,) = entry.inputs
+    grad = np.zeros_like(stack)
+    grad[entry.ctx["index"]] = upstream
+    return (grad,)
+
+
 register_backward("conv2d", conv2d_backward)
 register_backward("relu", relu_backward)
 register_backward("maxpool2", maxpool2_backward)
+register_backward("stack_item", _stack_item_backward)

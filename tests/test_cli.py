@@ -225,6 +225,26 @@ def test_experiment_config_rejects_bad_finetune_settings(bad, tmp_path):
         ExperimentConfig.from_file(str(cfg_path), {})
 
 
+@pytest.mark.parametrize("bad", [
+    {"epochs": 2.5}, {"rmac_levels": 2.5}, {"batch_size": 1.5}, {"seed": 1.5},
+    {"epochs": True}, {"seed": -1}, {"h2_triplets": 0}, {"stats_images": 0},
+    {"h2_triplets": 2.0}, {"heuristics": []}, {"keep_fractions": []}, {"poolings": []},
+    {"keep_fractions": [True]}, {"heuristics": "h1"},
+])
+def test_experiment_config_rejects_wrong_types_and_empty_lists(bad, tmp_path, workspace):
+    # each of these used to be accepted and fail only inside a pipeline point
+    with pytest.raises(ValueError):
+        ExperimentConfig(**bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_file(str(cfg_path), {})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--data", str(workspace / "data"),
+                 "--model", str(workspace / "baseline"), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pooling", POOLING_KINDS)
 def test_experiment_config_finetune_defaults_are_finetune_configs(pooling):
     assert ExperimentConfig().finetune_config(pooling) == FinetuneConfig(pooling=pooling)

@@ -252,6 +252,16 @@ def test_config_rejects_invalid_settings(bad):
         FinetuneConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"rmac_levels": 2.5}, {"batch_size": 1.5},
+                                 {"hard_pool_size": 2.5}, {"seed": 1.5}, {"epochs": True},
+                                 {"batch_size": "16"}, {"seed": -1}])
+def test_config_rejects_non_integer_counts(bad):
+    # each of these used to pass construction and fail with a TypeError later
+    (field,) = bad
+    with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be an integer"):
+        FinetuneConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # Gradient correctness through the whole micro pipeline
 # ---------------------------------------------------------------------------

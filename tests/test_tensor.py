@@ -426,3 +426,119 @@ def test_forward_results_finite_on_finite_inputs():
     w = rng.standard_normal((4, 3, 3, 3)) * 1e3
     out = maxpool2_forward(relu_forward(conv2d_forward(x, w, rng.standard_normal(4), 1, 1)))
     assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# Image-major stacks: bitwise the per-image rank-3 ops
+# ---------------------------------------------------------------------------
+
+def _conv_case(rng, c_in, c_out, size, kernel=3):
+    x = rng.standard_normal((3, c_in, size, size))
+    w = rng.standard_normal((c_out, c_in, kernel, kernel))
+    return x, w, rng.standard_normal(c_out)
+
+
+def _force_weight_grad_source(monkeypatch, from_upstream: bool) -> None:
+    import convprune.tensor as tensor_module
+    monkeypatch.setattr(tensor_module, "_weight_grad_from_upstream",
+                        lambda *shapes: from_upstream)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("from_upstream", [True, False])
+def test_stacked_conv_equals_per_image_convs_bitwise(stride, padding, from_upstream,
+                                                     monkeypatch):
+    _force_weight_grad_source(monkeypatch, from_upstream)
+    rng = np.random.default_rng(10 * stride + padding)
+    x, w, b = _conv_case(rng, 2, 3, 7)
+    tape = GradientTape()
+    out = conv2d_forward(x, w, b, stride, padding, tape=tape)
+    g = rng.standard_normal(out.shape)
+    gx, gw, gb = conv2d_backward(tape.entries[-1], g)
+    per_image = []
+    for n in range(3):
+        image_tape = GradientTape()
+        assert np.array_equal(out[n], conv2d_forward(x[n], w, b, stride, padding,
+                                                     tape=image_tape))
+        per_image.append(conv2d_backward(image_tape.entries[-1], g[n]))
+    assert np.array_equal(gx, np.stack([grads[0] for grads in per_image]))
+    # a tape of three rank-3 entries adds their gradients last image first
+    (_, w2, b2), (_, w1, b1), (_, w0, b0) = reversed(per_image)
+    assert np.array_equal(gw, (w2 + w1) + w0)
+    assert np.array_equal(gb, (b2 + b1) + b0)
+    assert gw.flags.c_contiguous and gw.shape == w.shape
+
+
+def test_stacked_relu_and_maxpool_equal_per_image_ops_bitwise():
+    rng = np.random.default_rng(47)
+    x = rng.integers(-2, 3, size=(3, 2, 4, 6)).astype(np.float64)  # ties and zeros
+    tape = GradientTape()
+    pooled = maxpool2_forward(relu_forward(x, tape=tape), tape=tape)
+    g = rng.standard_normal(pooled.shape)
+    (g_relu_out,) = maxpool2_backward(tape.entries[-1], g)
+    (gx,) = relu_backward(tape.entries[-2], g_relu_out)
+    for n in range(3):
+        image_tape = GradientTape()
+        image_pooled = maxpool2_forward(relu_forward(x[n], tape=image_tape), tape=image_tape)
+        assert np.array_equal(pooled[n], image_pooled)
+        (image_g,) = maxpool2_backward(image_tape.entries[-1], g[n])
+        assert np.array_equal(g_relu_out[n], image_g)
+        assert np.array_equal(gx[n], relu_backward(image_tape.entries[-2], image_g)[0])
+
+
+def test_stack_ops_reject_other_ranks():
+    with pytest.raises(ShapeError, match=r"\[N,C,H,W\]"):
+        conv2d_forward(np.zeros((1, 1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+    with pytest.raises(ShapeError, match=r"\[N,C,H,W\]"):
+        maxpool2_forward(np.zeros((4, 4)))
+
+
+def test_stack_item_routes_gradient_to_its_slice():
+    from convprune.tensor import register_backward, stack_item
+    stack = np.arange(24.0).reshape(3, 2, 2, 2)
+    tape = GradientTape()
+    items = [stack_item(stack, n, tape) for n in range(3)]
+    assert all(np.array_equal(item, stack[n]) for n, item in enumerate(items))
+    total = np.array(sum(float((item * (n + 1)).sum()) for n, item in enumerate(items)))
+    tape.record("weighted_sum3", tuple(items), total)
+    register_backward("weighted_sum3", lambda entry, g: tuple(
+        np.full(item.shape, float(g) * (n + 1)) for n, item in enumerate(entry.inputs)))
+    tape.backward(total)
+    expected = np.concatenate([np.full((1, 2, 2, 2), n + 1.0) for n in range(3)])
+    assert np.array_equal(tape.gradient(stack), expected)
+
+
+# ---------------------------------------------------------------------------
+# Conv weight gradient: both sources against the loop oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("from_upstream", [True, False])
+@pytest.mark.parametrize("stride,padding,size", [(1, 1, 6), (1, 0, 7), (2, 0, 7), (2, 1, 6),
+                                                 (2, 2, 5)])
+def test_both_weight_grad_sources_match_loop_oracle(from_upstream, stride, padding, size,
+                                                    monkeypatch):
+    _force_weight_grad_source(monkeypatch, from_upstream)
+    rng = np.random.default_rng(7 * stride + padding)
+    x, w, b = _conv_case(rng, 3, 4, size)
+    x = x[0]
+    tape = GradientTape()
+    out = conv2d_forward(x, w, b, stride, padding, tape=tape)
+    g = rng.standard_normal(out.shape)
+    gx, gw, gb = conv2d_backward(tape.entries[-1], g)
+    want_x, want_w, want_b = naive_conv2d_grads(x, w, g, stride, padding)
+    assert rel_error(gw, want_w) <= 1e-12
+    assert rel_error(gx, want_x) <= 1e-12
+    assert rel_error(gb, want_b) <= 1e-12
+
+
+def test_weight_grad_source_depends_on_shape_only():
+    from convprune.tensor import _weight_grad_from_upstream
+    # tinynet: only the 3-channel first conv rebuilds its input's im2col
+    assert not _weight_grad_from_upstream((16, 3, 3, 3), (32, 32), (32, 32))
+    for shape, hw in [((16, 16, 3, 3), 32), ((32, 16, 3, 3), 16), ((32, 32, 3, 3), 16),
+                      ((64, 32, 3, 3), 8)]:
+        assert _weight_grad_from_upstream(shape, (hw, hw), (hw, hw))
+    # stride 2 makes the upstream columns four times wider than the input's
+    assert not _weight_grad_from_upstream((4, 4, 3, 3), (8, 8), (4, 4))
+    assert _weight_grad_from_upstream((2, 4, 3, 3), (8, 8), (4, 4))
