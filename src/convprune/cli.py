@@ -245,6 +245,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     for sub in ("models", "reports", "descriptors"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     log_path = out / "log.jsonl"
+    log_path.write_text("")  # each run starts its own log, as it does metrics.csv
     metrics_path = out / "metrics.csv"
 
     def log_event(**kv):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -37,7 +38,7 @@ class VersionError(ContainerError):
 
 
 def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np.ndarray]]) -> Path:
-    """Write a container directory.
+    """Write a container directory, each file through a rename (`_replace`).
 
     `tensors` is a list of (name, array); boolean arrays are bit-packed,
     everything else is cast to little-endian float32.
@@ -63,9 +64,23 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
         })
         blob.extend(data)
     manifest = {"format_version": FORMAT_VERSION, **payload, "tensors": index}
-    (path / BLOB_NAME).write_bytes(bytes(blob))
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+    _replace(path / BLOB_NAME, bytes(blob))
+    _replace(path / MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
     return path
+
+
+def _replace(target: Path, data: bytes) -> None:
+    """Write `data` to a temp file next to `target`, then rename it over
+    `target`. `write_container` replaces the blob first and the manifest
+    last, so a write that fails midway leaves the previous container or one
+    whose old manifest does not match the new blob (`IntegrityError`)."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

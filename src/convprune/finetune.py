@@ -9,6 +9,8 @@ edges stay pruned no matter what the gradients do. Biases train freely.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RetrievalDataset
-from .network import NetworkModel, clone_model, forward_features, init_network, validate_masks
+from .network import (NetworkModel, clone_model, compact_model, expand_compact,
+                      forward_features, init_network, validate_masks)
 from .pooling import POOLING_KINDS, Descriptor, pool_features
 from .retrieval import similarity, similarity_op
 from .tensor import GradientTape, TapeEntry, register_backward, stack_item
@@ -180,25 +183,103 @@ def descriptor_of(model: NetworkModel, image: np.ndarray, pooling: str,
 
 def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str,
                       pooling: str, rmac_levels: int) -> dict[str, Descriptor]:
-    """{item id: descriptor} for every item of `split`, in split order."""
-    return {it.item_id: descriptor_of(model, dataset.load_image(it.item_id), pooling,
-                                      rmac_levels)
-            for it in dataset.split(split)}
+    """{item id: descriptor} for every item of `split`, in split order.
+
+    Runs the compact network `model`'s masks leave. The calling process loads
+    every image, then the items are cut into `_workers` contiguous shares:
+    the caller describes share 0 and a child forked for this call describes
+    each other share (processes, not threads: an untaped forward holds the
+    interpreter lock most of the time). Shares are joined in split order, so
+    the descriptors are bitwise those of a serial loop. Forking is safe here
+    because `_workers` allows more than one share only when BLAS runs one
+    thread per call, and the fine-tuning thread pool lives within one
+    `triplet_gradients` call."""
+    model = compact_model(model)[0]
+    ids = [it.item_id for it in dataset.split(split)]
+    images = [dataset.load_image(i) for i in ids]
+
+    def describe(share):
+        return [descriptor_of(model, image, pooling, rmac_levels) for image in share]
+
+    n = _workers(len(ids))
+    shares = [images[len(ids) * k // n:len(ids) * (k + 1) // n] for k in range(n)]
+    return dict(zip(ids, (d for part in _forked_map(describe, shares) for d in part)))
+
+
+def _forked_map(fn, shares: list) -> list:
+    """[fn(share) for share in shares]: the caller runs share 0 and a child
+    forked for this call runs each other share, sending back its pickled
+    result or exception over a pipe. Every child is reaped before this
+    returns or raises, and a child's exception is raised here. Runs inline
+    where there is no `os.fork`."""
+    if len(shares) < 2 or not hasattr(os, "fork"):
+        return [fn(share) for share in shares]
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    for pipe in pipes:  # its own read end and the earlier children's
+                        pipe.close()
+                    _child_main(fn, share, w)
+                pids.append(pid)
+            finally:
+                os.close(w)  # the child never gets here: `_child_main` exits
+        results = [fn(shares[0])]
+        for pipe in pipes:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError("a descriptor worker process exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            # a child whose result was read has exited or is exiting; one whose
+            # result is not wanted may be blocked on a full pipe
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_main(fn, share, w: int) -> None:
+    """A forked child's whole life: run `fn(share)`, write (True, result) or
+    (False, exception) to the pipe `w`, and exit without running any of the
+    parent's cleanup."""
+    try:
+        try:
+            payload = pickle.dumps((True, fn(share)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # noqa: BLE001 - the parent raises it; this process exits
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            except Exception:  # an exception holding something unpicklable
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(w, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _workers(n_triplets: int) -> int:
-    """Threads for `triplet_gradients`: one per usable core, capped at the
-    triplet count, when BLAS runs one thread per call (the first of the BLAS
-    thread variables that is set reads 1); otherwise 1. Threads on top of a
-    multi-threaded BLAS oversubscribe the cores and run slower."""
+def _workers(n: int) -> int:
+    """Workers for `triplet_gradients` (threads) and `split_descriptors`
+    (processes): one per usable core, capped at `n`, when BLAS runs one
+    thread per call (the first of the BLAS thread variables that is set reads
+    1); otherwise 1. Workers on top of a multi-threaded BLAS oversubscribe
+    the cores and run slower."""
     pinned = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), None)
     if pinned != "1":
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, n_triplets))
+    return max(1, min(cores or 1, n))
 
 
 def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float,
@@ -286,10 +367,14 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     """SGD over triplet batches; returns (updated model copy, per-epoch log).
 
     One epoch samples as many triplets as there are training images. Masked
-    weights are projected back to exactly zero after every update.
+    weights are projected back to exactly zero after every update. Training
+    runs on the compact network the masks leave (`compact_model`), whose
+    weights and biases are then written into a copy of `model`; the entries
+    it drops have an exactly zero dense gradient, so they keep their values.
     """
     validate_masks(model)
-    model = clone_model(model)
+    tuned = clone_model(model)
+    model, kept = compact_model(model)
     n_train = len(dataset.split("train"))
     if n_train == 0:
         raise ValueError("dataset has no training images")
@@ -321,9 +406,10 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
             "wall_time": time.perf_counter() - t_start,
         }
         log.append(entry)
-        model.meta.setdefault("history", []).append(entry)
-    validate_masks(model)
-    return model, log
+        tuned.meta.setdefault("history", []).append(entry)
+    expand_compact(tuned, model, kept)
+    validate_masks(tuned)
+    return tuned, log
 
 
 def train_baseline(architecture: dict, dataset: RetrievalDataset,

@@ -200,6 +200,58 @@ def clone_model(model: NetworkModel) -> NetworkModel:
                         meta=copy.deepcopy(model.meta))
 
 
+def compact_model(model: NetworkModel) -> tuple[NetworkModel, dict[int, tuple]]:
+    """The smaller dense network that `model`'s masks leave, and, by conv
+    layer index, the (output, input) channels of `model` it keeps.
+
+    Walking from the last conv to the first, a conv keeps the output channels
+    that some live mask entry of the next conv's kept outputs reads; the last
+    conv keeps every output (the descriptor width) and the first every image
+    channel. A conv whose kept outputs read nothing keeps input channel 0, so
+    no layer is empty. Only ReLU and max-pool sit between convs, so channels
+    are independent, and a dropped channel reaches the output only through
+    masked weights, which are exactly zero: the compact network computes the
+    same features, and the dense gradient of every dropped weight and bias is
+    exactly zero. The plan reads the masks only, never the weights, because a
+    live weight can be exactly 0.0.
+    """
+    convs = model.conv_layers()
+    kept = {}
+    reads = None
+    for pos in range(len(convs) - 1, -1, -1):
+        idx, layer = convs[pos]
+        c_out, c_in = layer.mask.shape[:2]
+        outputs = np.arange(c_out) if reads is None else reads
+        if pos == 0:
+            reads = np.arange(c_in)
+        else:
+            reads = np.flatnonzero(layer.mask[outputs].any(axis=(0, 2, 3)))
+            if reads.size == 0:
+                reads = np.arange(1)
+        kept[idx] = (outputs, reads)
+    layers = []
+    for i, layer in enumerate(model.layers):
+        if i in kept:
+            outputs, inputs = kept[i]
+            layers.append(ConvLayer(weights=layer.weights[outputs][:, inputs],
+                                    bias=layer.bias[outputs],
+                                    mask=layer.mask[outputs][:, inputs],
+                                    stride=layer.stride, padding=layer.padding))
+        else:
+            layers.append(type(layer)())
+    return (NetworkModel(input_shape=model.input_shape, layers=layers,
+                         meta=copy.deepcopy(model.meta)), kept)
+
+
+def expand_compact(full: NetworkModel, compact: NetworkModel, kept: dict[int, tuple]) -> None:
+    """Write the conv weights and biases of `compact` (from `compact_model`)
+    into `full` at the channels `kept` names; entries it dropped keep theirs."""
+    for idx, (outputs, inputs) in kept.items():
+        dst, src = full.layers[idx], compact.layers[idx]
+        dst.weights[np.ix_(outputs, inputs)] = src.weights
+        dst.bias[outputs] = src.bias
+
+
 def save_model(model: NetworkModel, path: str) -> None:
     tensors = []
     for i, layer in model.conv_layers():

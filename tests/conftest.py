@@ -13,6 +13,18 @@ from convprune.dataset import generate_dataset  # noqa: E402
 from convprune.network import init_network  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped
+    (`split_descriptors` forks workers and must reap every one)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid returned pid {pid})")
+
+
 @pytest.fixture(scope="session")
 def small_dataset(tmp_path_factory):
     """12 instances x 8 images: big enough to train, small enough for CI."""

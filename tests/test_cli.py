@@ -307,6 +307,20 @@ def test_pipeline_rerun_byte_identical(workspace):
     assert a == b
 
 
+def test_pipeline_rerun_starts_a_fresh_log(workspace):
+    out = workspace / "fresh_log"
+    cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                           epochs=1, seed=4, data=str(workspace / "data"),
+                           model=str(workspace / "baseline"), out=str(out))
+    run_pipeline(cfg)
+    first = (out / "log.jsonl").read_text().splitlines()
+    run_pipeline(cfg)
+    events = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert [e["stage"] for e in events] == ["pruned", "finetuned"] == \
+        [json.loads(line)["stage"] for line in first]
+    assert min(e["time"] for e in events) > max(json.loads(line)["time"] for line in first)
+
+
 def test_pipeline_requires_paths():
     with pytest.raises(ValueError, match="pipeline needs"):
         run_pipeline(ExperimentConfig())

@@ -8,17 +8,18 @@ import pytest
 
 from convprune import finetune as finetune_module
 from convprune.finetune import (FinetuneConfig, TrainingDiverged, Triplet, descriptor_of,
-                                finetune, sample_triplets, sgd_batch_step, train_baseline,
-                                triplet_gradients, triplet_loss, triplet_loss_op)
-from convprune.network import clone_model, forward_features, init_network
+                                finetune, sample_triplets, sgd_batch_step, split_descriptors,
+                                train_baseline, triplet_gradients, triplet_loss,
+                                triplet_loss_op)
+from convprune.network import clone_model, compact_model, forward_features, init_network
 from convprune.pooling import sqp_pool
 from convprune.pruner import apply_pruning
 from convprune.retrieval import similarity
 from convprune.salience import salience_h1, salience_h2
-from convprune.tensor import GradientTape
+from convprune.tensor import GradientTape, ShapeError
 
-from util import (ArrayDataset, build_dataset, fd_gradient, reference_triplet_grads,
-                  rel_error)
+from util import (CHANNEL_PLAN, ArrayDataset, build_dataset, channel_structured_model,
+                  fd_gradient, reference_triplet_grads, rel_error)
 
 
 def vec_with_cosine(k):
@@ -435,3 +436,66 @@ def test_worker_rule_follows_blas_thread_pin(monkeypatch):
     assert finetune_module._workers(16) == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert finetune_module._workers(16) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fine-tuning the compact network; descriptors on forked workers
+# ---------------------------------------------------------------------------
+
+def _dense_plan(model):
+    """`compact_model` as if no channel could be dropped."""
+    return clone_model(model), {i: (np.arange(l.weights.shape[0]), np.arange(l.weights.shape[1]))
+                                for i, l in model.conv_layers()}
+
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_compact_finetune_matches_dense_finetune(small_dataset, pooling, monkeypatch):
+    model = channel_structured_model()
+    config = FinetuneConfig(epochs=2, batch_size=8, seed=3, pooling=pooling)
+    tuned, log = finetune(model, small_dataset, config)
+    monkeypatch.setattr(finetune_module, "compact_model", _dense_plan)
+    dense, dense_log = finetune(model, small_dataset, config)
+    for a, b in zip(log, dense_log):
+        assert abs(a["mean_loss"] - b["mean_loss"]) <= 1e-12 * abs(b["mean_loss"])
+        assert a["active_fraction"] == b["active_fraction"] > 0.0
+    for (idx, layer), (_, ref), (_, start) in zip(tuned.conv_layers(), dense.conv_layers(),
+                                                  model.conv_layers()):
+        assert rel_error(layer.weights, ref.weights) <= 1e-12
+        assert rel_error(layer.bias, ref.bias) <= 1e-12
+        assert not np.array_equal(ref.weights, start.weights)  # training moved them
+        # channels no kept conv reads: the dense gradient left them bit for bit
+        dropped = np.setdiff1d(np.arange(start.weights.shape[0]), CHANNEL_PLAN[idx][0])
+        for result in (layer, ref):
+            assert np.array_equal(result.weights[dropped], start.weights[dropped])
+            assert np.array_equal(result.bias[dropped], start.bias[dropped])
+    assert np.array_equal(tuned.layers[0].bias[[1, 3, 4]], model.layers[0].bias[[1, 3, 4]])
+
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_split_descriptors_bitwise_serial_for_every_worker_count(small_dataset, pooling,
+                                                                 monkeypatch):
+    model = channel_structured_model()
+    compact = compact_model(model)[0]
+    items = small_dataset.split("index")
+    serial = [descriptor_of(compact, small_dataset.load_image(it.item_id), pooling)
+              for it in items]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
+        descs = split_descriptors(model, small_dataset, "index", pooling, 3)
+        assert list(descs) == [it.item_id for it in items]
+        for got, want in zip(descs.values(), serial):
+            assert np.array_equal(got.values, want.values)
+            assert (got.kind, got.spatial) == (want.kind, want.spatial)
+
+
+@pytest.mark.parametrize("bad_share", [0, 1])
+def test_split_descriptors_worker_error_reaches_caller(small_dataset, bad_share, monkeypatch):
+    model = channel_structured_model()
+    items = small_dataset.split("index")
+    bad = items[len(items) // 2 * bad_share].item_id  # the first item of that share
+    load = small_dataset.load_image
+    monkeypatch.setattr(small_dataset, "load_image",
+                        lambda i: load(i)[:, :16] if i == bad else load(i))
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    with pytest.raises(ShapeError, match=r"\(3, 16, 32\)"):
+        split_descriptors(model, small_dataset, "index", "sqp", 3)

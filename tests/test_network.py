@@ -1,6 +1,7 @@
 """Model init, forward extraction, mask invariant, and serialization."""
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convprune import container
 from convprune.container import ContainerError, IntegrityError, VersionError, write_container
-from convprune.network import (clone_model, forward_features, init_network, load_model,
-                               save_model, tinynet_architecture, validate_masks)
+from convprune.finetune import descriptor_of
+from convprune.network import (clone_model, compact_model, expand_compact, forward_features,
+                               init_network, load_model, save_model, tinynet_architecture,
+                               validate_masks)
 from convprune.tensor import ShapeError
+
+from util import CHANNEL_PLAN, channel_structured_model, rel_error
 
 
 def small_arch():
@@ -310,3 +316,106 @@ def test_tensor_submodule_not_shadowed():
     from convprune import finetune, tensor
     assert tensor.__name__ == "convprune.tensor"
     assert finetune.__name__ == "convprune.finetune"
+
+
+# ---------------------------------------------------------------------------
+# Channel compaction
+# ---------------------------------------------------------------------------
+
+def test_compact_plan_reads_masks_only():
+    model = channel_structured_model()
+    compact, kept = compact_model(model)
+    assert {i: (list(o), list(c)) for i, (o, c) in kept.items()} == CHANNEL_PLAN
+    assert [l.weights.shape[:2] for _, l in compact.conv_layers()] == [(3, 3), (7, 3), (5, 7)]
+    assert compact.layers[6].weights.shape[0] == model.layers[6].weights.shape[0]
+    for idx, (outputs, inputs) in kept.items():
+        layer, small = model.layers[idx], compact.layers[idx]
+        assert np.array_equal(small.weights, layer.weights[np.ix_(outputs, inputs)])
+        assert np.array_equal(small.mask, layer.mask[np.ix_(outputs, inputs)])
+        assert np.array_equal(small.bias, layer.bias[outputs])
+    # a live weight that is exactly 0.0 still reads its channel
+    model.layers[3].mask[2, 4] = True
+    assert list(compact_model(model)[1][3][1]) == [0, 2, 4, 5]
+    # compacting twice drops nothing more
+    again = compact_model(compact)[1]
+    assert all(list(o) == list(range(len(ko))) and list(c) == list(range(len(kc)))
+               for (o, c), (ko, kc) in zip(again.values(), kept.values()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_compact_descriptors_match_dense(seed, pooling):
+    model = channel_structured_model(seed)
+    compact, _ = compact_model(model)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        image = rng.random((3, 32, 32))
+        dense = descriptor_of(model, image, pooling).values
+        small = descriptor_of(compact, image, pooling).values
+        assert rel_error(small, dense) <= 1e-12
+        assert np.linalg.norm(dense) > 0.0
+
+
+def test_compact_keeps_a_channel_when_nothing_is_read():
+    model = channel_structured_model()
+    model.layers[3].mask[:] = False
+    model.layers[3].weights[:] = 0.0
+    compact, kept = compact_model(model)
+    assert list(kept[3][1]) == [0] and list(kept[0][0]) == [0]
+    image = np.random.default_rng(3).random((3, 32, 32))
+    assert np.array_equal(forward_features(compact, image), forward_features(model, image))
+
+
+def test_expand_compact_writes_kept_entries_only():
+    model = channel_structured_model()
+    compact, kept = compact_model(model)
+    for _, layer in compact.conv_layers():
+        layer.weights += 1.0
+        layer.bias += 1.0
+    full = clone_model(model)
+    expand_compact(full, compact, kept)
+    for idx, (outputs, inputs) in kept.items():
+        moved = np.zeros(model.layers[idx].weights.shape, dtype=bool)
+        moved[np.ix_(outputs, inputs)] = True
+        assert np.array_equal(full.layers[idx].weights[moved],
+                              model.layers[idx].weights[moved] + 1.0)
+        assert np.array_equal(full.layers[idx].weights[~moved], model.layers[idx].weights[~moved])
+        dropped = np.setdiff1d(np.arange(len(model.layers[idx].bias)), outputs)
+        assert np.array_equal(full.layers[idx].bias[dropped], model.layers[idx].bias[dropped])
+
+
+# ---------------------------------------------------------------------------
+# Atomic container writes
+# ---------------------------------------------------------------------------
+
+def test_container_write_failing_midway_leaves_old_or_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "c"
+    write_container(path, {"kind": "x"}, [("a", np.arange(4.0))])
+    real_write = Path.write_bytes
+
+    def failing_write(prefix):
+        def write(self, data):
+            if self.name.startswith(prefix):
+                real_write(self, data[:len(data) // 2])
+                raise OSError("disk full")
+            return real_write(self, data)
+        return write
+
+    new = [("a", np.arange(4.0) + 1.0)]
+    monkeypatch.setattr(Path, "write_bytes", failing_write(f".{container.BLOB_NAME}"))
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, {"kind": "x"}, new)
+    manifest, tensors = container.read_container(path)
+    assert np.array_equal(tensors["a"], np.arange(4.0))
+    assert sorted(os.listdir(path)) == [container.MANIFEST_NAME, container.BLOB_NAME]
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write(f".{container.MANIFEST_NAME}"))
+    with pytest.raises(OSError, match="disk full"):
+        write_container(path, {"kind": "x"}, new)
+    with pytest.raises(ContainerError):
+        container.read_container(path)  # new blob under the old manifest
+    assert sorted(os.listdir(path)) == [container.MANIFEST_NAME, container.BLOB_NAME]
+
+    monkeypatch.setattr(Path, "write_bytes", real_write)
+    write_container(path, {"kind": "x"}, new)
+    assert np.array_equal(container.read_container(path)[1]["a"], new[0][1])

@@ -150,3 +150,52 @@ def reference_rmac(features: np.ndarray, regions, upstream: np.ndarray) -> tuple
     for r, col in zip(rows, cols):
         dx[chan, r, col] += share
     return total / len(regions), dx
+
+
+def _conv(channels: int) -> dict:
+    return {"kind": "conv", "channels": channels, "kernel": 3, "stride": 1, "padding": 1}
+
+
+# three convs on the synthetic 3x32x32 images; the conv layers sit at 0, 3, 6
+CHANNEL_ARCH = {
+    "input_shape": [3, 32, 32],
+    "layers": [_conv(6), {"kind": "relu"}, {"kind": "maxpool2"},
+               _conv(8), {"kind": "relu"}, {"kind": "maxpool2"}, _conv(5)],
+}
+
+# the (output, input) channels `compact_model` keeps of `channel_structured_model`
+CHANNEL_PLAN = {
+    6: (list(range(5)), list(range(1, 8))),
+    3: (list(range(1, 8)), [0, 2, 5]),
+    0: ([0, 2, 5], [0, 1, 2]),
+}
+
+
+def channel_structured_model(seed: int = 0):
+    """A CHANNEL_ARCH model with random masks and biases, edited so that:
+    - L0 outputs 1 and 4 are read by no L1 mask entry;
+    - L0 output 2 is a dead producer (no live weight) with bias 0.3, and
+      output 5 one with bias 0, both read by L1;
+    - L1 output 0 is read by no L2 entry, and it alone reads L1 input 3, so
+      L0 output 3 is dropped too, one step further up;
+    - L2 output 1, in the last layer, has no live weight.
+    Masked weights are zero. `compact_model` keeps CHANNEL_PLAN."""
+    from convprune.network import init_network
+    model = init_network(CHANNEL_ARCH, seed=seed)
+    rng = np.random.default_rng(seed)
+    (_, l0), (_, l1), (_, l2) = model.conv_layers()
+    for layer in (l0, l1, l2):
+        layer.mask = rng.random(layer.mask.shape) < 0.6
+        layer.bias = rng.normal(0.0, 0.1, layer.bias.shape)
+    l1.mask[:, [1, 4]] = False
+    l0.mask[2], l0.bias[2] = False, 0.3
+    l0.mask[5], l0.bias[5] = False, 0.0
+    l1.mask[1, [0, 2, 5]] = True
+    l2.mask[:, 0] = False
+    l1.mask[:, 3] = False
+    l1.mask[0, 3] = True
+    l2.mask[0, 1:] = True
+    l2.mask[1] = False
+    for layer in (l0, l1, l2):
+        layer.weights[~layer.mask] = 0.0
+    return model
