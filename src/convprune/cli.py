@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import container
 from . import dataset as ds
 from . import network as net
 from . import pruner, retrieval, salience
@@ -68,6 +69,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str, overrides: dict) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text()) if path else {}
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} is not a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -182,9 +185,7 @@ def cmd_finetune(args) -> int:
     tuned, log = run_finetune(model, dataset, cfg)
     net.save_model(tuned, args.out)
     if args.log:
-        with open(args.log, "w") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry) + "\n")
+        container.write_atomic(args.log, "".join(json.dumps(e) + "\n" for e in log).encode())
     print(f"fine-tuned {args.epochs} epochs; final mean loss {log[-1]['mean_loss']:.4f}; "
           f"saved to {args.out}")
     return 0
@@ -204,7 +205,7 @@ def cmd_evaluate(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     result = evaluate_model(model, dataset, args.pooling, args.rmac_levels)
-    Path(args.out).write_text(result.to_json())
+    container.write_atomic(args.out, result.to_json().encode())
     if args.csv:
         result.write_csv(args.csv)
     r4 = "n/a" if result.mean_recall4 is None else f"{result.mean_recall4:.4f}"

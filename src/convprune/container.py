@@ -1,4 +1,4 @@
-"""Manifest + blob container used for models.
+"""Manifest + blob container used for models and descriptor indexes.
 
 A container is a directory holding `manifest.json` (format version, payload
 metadata, tensor index) and `tensors.bin` (8-byte header, then one segment
@@ -38,7 +38,7 @@ class VersionError(ContainerError):
 
 
 def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np.ndarray]]) -> Path:
-    """Write a container directory, each file through a rename (`_replace`).
+    """Write a container directory, each file through a rename (`write_atomic`).
 
     `tensors` is a list of (name, array); boolean arrays are bit-packed,
     everything else is cast to little-endian float32.
@@ -64,16 +64,18 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
         })
         blob.extend(data)
     manifest = {"format_version": FORMAT_VERSION, **payload, "tensors": index}
-    _replace(path / BLOB_NAME, bytes(blob))
-    _replace(path / MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
+    write_atomic(path / BLOB_NAME, bytes(blob))
+    write_atomic(path / MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
     return path
 
 
-def _replace(target: Path, data: bytes) -> None:
+def write_atomic(target: str | Path, data: bytes) -> None:
     """Write `data` to a temp file next to `target`, then rename it over
-    `target`. `write_container` replaces the blob first and the manifest
-    last, so a write that fails midway leaves the previous container or one
-    whose old manifest does not match the new blob (`IntegrityError`)."""
+    `target`, so a failed write leaves the previous file and no temp file.
+    `write_container` replaces the blob first and the manifest last, so a
+    write that fails midway leaves the previous container or one whose old
+    manifest does not match the new blob (`IntegrityError`)."""
+    target = Path(target)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

@@ -75,27 +75,41 @@ def tinynet_architecture() -> dict:
     }
 
 
+def _is_natural(value, minimum: int) -> bool:
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
 def _natural(desc: dict, key: str, i: int, minimum: int, default=None) -> int:
     value = desc.get(key, default)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+    if not _is_natural(value, minimum):
         raise ValueError(f"layer {i}: conv {key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def _check_chain(input_shape, layer_descs) -> dict[int, tuple[int, int, int, int]]:
-    """Validate the layer chain on a (C, H, W) input; returns the weight
-    shape [C_out, C_in, k, k] of each conv layer, by layer index."""
-    if len(input_shape) != 3 or min(input_shape) < 1:
-        raise ShapeError(f"input shape must be (C,H,W) of positive sizes, got {input_shape}")
+def _check_chain(architecture) -> tuple[tuple[int, int, int], dict[int, tuple[int, int, int, int]]]:
+    """Parse an architecture {"input_shape": [C, H, W], "layers": [...]} and
+    validate its layer chain; returns the input shape and the weight shape
+    [C_out, C_in, k, k] of each conv layer, by layer index. Anything
+    malformed raises `ValueError` (`ShapeError` where sizes do not fit)."""
+    if not isinstance(architecture, dict):
+        raise ValueError(f"architecture must be a JSON object, got {type(architecture).__name__}")
+    input_shape, layer_descs = architecture.get("input_shape"), architecture.get("layers")
+    if not (isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
+            and all(_is_natural(d, 1) for d in input_shape)):
+        raise ShapeError(f"input shape must be (C,H,W) of positive sizes, got {input_shape!r}")
+    if not isinstance(layer_descs, list) or not all(isinstance(d, dict) for d in layer_descs):
+        raise ValueError(f"architecture layers must be a list of objects, got {layer_descs!r}")
     if not layer_descs:
         raise ValueError("architecture needs at least one layer")
-    if layer_descs[-1]["kind"] not in ("conv", "maxpool2"):
+    if layer_descs[-1].get("kind") not in ("conv", "maxpool2"):
         raise ValueError("final layer must be conv or maxpool2: its output is the "
                          "feature-map stack the descriptors pool over")
+    input_shape = tuple(int(d) for d in input_shape)
     c, h, w = input_shape
     shapes = {}
     for i, desc in enumerate(layer_descs):
-        kind = desc["kind"]
+        kind = desc.get("kind")
         if kind == "conv":
             k, s = _natural(desc, "kernel", i, 1), _natural(desc, "stride", i, 1, 1)
             p = _natural(desc, "padding", i, 0, 0)
@@ -119,14 +133,13 @@ def _check_chain(input_shape, layer_descs) -> dict[int, tuple[int, int, int, int
             raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
         if h < 1 or w < 1:
             raise ShapeError(f"layer {i}: spatial extent collapsed to {h}x{w}")
-    return shapes
+    return input_shape, shapes
 
 
 def init_network(architecture: dict, seed: int, name: str = "net") -> NetworkModel:
     """Build a model with He-scaled normal weights (std = sqrt(2 / fan_in)),
     zero biases, and all-ones masks. Deterministic for a fixed seed."""
-    input_shape = tuple(int(d) for d in architecture["input_shape"])
-    shapes = _check_chain(input_shape, architecture["layers"])
+    input_shape, shapes = _check_chain(architecture)
     rng = np.random.default_rng(seed)
     layers = []
     for i, desc in enumerate(architecture["layers"]):
@@ -269,11 +282,10 @@ def load_model(path: str) -> NetworkModel:
     manifest, tensors = container.read_container(path)
     if manifest.get("kind") != "model":
         raise container.ContainerError(f"{path} holds {manifest.get('kind')!r}, not a model")
+    arch = manifest.get("architecture")
     try:
-        arch = manifest["architecture"]
-        input_shape = tuple(int(d) for d in arch["input_shape"])
-        shapes = _check_chain(input_shape, arch["layers"])
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        input_shape, shapes = _check_chain(arch)
+    except ValueError as exc:
         raise container.ContainerError(f"{path}: malformed architecture: {exc!r}") from exc
     meta = manifest.get("metadata", {})
     if not isinstance(meta, dict):

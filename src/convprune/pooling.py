@@ -10,10 +10,8 @@ end to end.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -193,74 +191,3 @@ def pool_features(features: np.ndarray, kind: str, levels: int = 3,
         return rmac_pool(features, grid, tape=tape)
     raise ValueError(f"unknown pooling kind {kind!r}")
 
-
-# ---------------------------------------------------------------------------
-# Descriptor files: raw little-endian float32 vector + JSON sidecar
-# ---------------------------------------------------------------------------
-
-def save_descriptor(desc: Descriptor, item_id: str, directory: str | Path) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    data_path = directory / f"{item_id}.f32"
-    data_path.write_bytes(desc.values.astype("<f4").tobytes())
-    sidecar = {
-        "item_id": item_id,
-        "pooling": desc.kind,
-        "channels": int(desc.values.shape[0]),
-        "spatial": list(desc.spatial),
-    }
-    (directory / f"{item_id}.json").write_text(json.dumps(sidecar, indent=2))
-    return data_path
-
-
-class DescriptorFileError(ValueError):
-    """A descriptor sidecar, payload or index label file is missing or malformed."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def read_json_file(path: Path):
-    """Parsed JSON of a descriptor-format file; DescriptorFileError if it is
-    missing or not JSON."""
-    try:
-        return json.loads(path.read_bytes())
-    except FileNotFoundError:
-        raise DescriptorFileError(f"missing {path}") from None
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise DescriptorFileError(f"{path}: not valid JSON ({e})") from None
-
-
-def load_descriptor(item_id: str, directory: str | Path) -> Descriptor:
-    """Read one saved descriptor; DescriptorFileError on any malformed file."""
-    directory = Path(directory)
-    sidecar = read_json_file(directory / f"{item_id}.json")
-    if not isinstance(sidecar, dict):
-        raise DescriptorFileError(f"descriptor {item_id}: sidecar is not a JSON object")
-    if sidecar.get("item_id") != item_id:
-        raise DescriptorFileError(f"descriptor {item_id}: sidecar names item "
-                                  f"{sidecar.get('item_id')!r}")
-    kind = sidecar.get("pooling")
-    if kind not in POOLING_KINDS:
-        raise DescriptorFileError(f"descriptor {item_id}: unknown pooling kind {kind!r}")
-    channels = sidecar.get("channels")
-    if not _is_int(channels) or channels < 0:
-        raise DescriptorFileError(f"descriptor {item_id}: bad channel count {channels!r}")
-    spatial = sidecar.get("spatial")
-    if not (isinstance(spatial, list) and len(spatial) == 2
-            and all(_is_int(s) and s >= 1 for s in spatial)):
-        raise DescriptorFileError(f"descriptor {item_id}: spatial must be [W, H] positive "
-                                  f"integers, got {spatial!r}")
-    data_path = directory / f"{item_id}.f32"
-    try:
-        raw = data_path.read_bytes()
-    except FileNotFoundError:
-        raise DescriptorFileError(f"missing {data_path}") from None
-    if len(raw) != 4 * channels:
-        raise DescriptorFileError(f"descriptor {item_id}: {len(raw)} payload bytes but sidecar "
-                                  f"declares {channels} float32 channels")
-    values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DescriptorFileError(f"descriptor {item_id}: non-finite values")
-    return Descriptor(values=values, kind=kind, spatial=(spatial[0], spatial[1]))

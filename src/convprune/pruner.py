@@ -10,12 +10,14 @@ index removed first. Biases are never pruned.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .network import NetworkModel, clone_model, validate_masks
 from .salience import SalienceMap
 from .tensor import ShapeError
@@ -54,7 +56,7 @@ class PruneReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        container.write_atomic(path, json.dumps(self.to_dict(), indent=2).encode())
 
     def write_csv(self, path: str | Path) -> None:
         write_prune_csv(path, self.to_dict()["layers"])
@@ -62,14 +64,15 @@ class PruneReport:
 
 def write_prune_csv(path: str | Path, layers: list[dict]) -> None:
     """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "total", "remaining", "fraction"])
-        for r in layers:
-            writer.writerow([r["layer"], r["total"], r["remaining"], f"{r['fraction']:.12g}"])
-        total = sum(r["total"] for r in layers)
-        remaining = sum(r["remaining"] for r in layers)
-        writer.writerow(["all", total, remaining, f"{remaining / total:.12g}" if total else "0"])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["layer", "total", "remaining", "fraction"])
+    for r in layers:
+        writer.writerow([r["layer"], r["total"], r["remaining"], f"{r['fraction']:.12g}"])
+    total = sum(r["total"] for r in layers)
+    remaining = sum(r["remaining"] for r in layers)
+    writer.writerow(["all", total, remaining, f"{remaining / total:.12g}" if total else "0"])
+    container.write_atomic(path, buf.getvalue().encode())
 
 
 def select_threshold(salience: SalienceMap, keep_fraction: float,

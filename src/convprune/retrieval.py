@@ -10,6 +10,7 @@ when it is built.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .pooling import (Descriptor, DescriptorFileError, _is_int, load_descriptor, read_json_file,
-                      save_descriptor)
+from . import container
+from .pooling import POOLING_KINDS, Descriptor
 from .tensor import GradientTape, TapeEntry, register_backward
 
 # Below this, a descriptor is treated as degenerate (zero norm): similarity 0.
@@ -122,7 +123,8 @@ class DescriptorIndex:
     """An immutable set of descriptors to rank against.
 
     Construction validates the entries and stacks their values, in item-id
-    order, into the read-only [N, C] `matrix` whose rows `ids` names.
+    order, into the read-only [N, C] `matrix` whose rows `ids` names. `save`
+    and `load` keep an index in one container (`container.write_container`).
     """
     entries: tuple[IndexEntry, ...]
     ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -141,6 +143,9 @@ class DescriptorIndex:
                 raise ValueError(f"descriptor {e.item_id} is not a vector")
             if e.descriptor.values.shape != first.values.shape:
                 raise ValueError("index mixes descriptor lengths")
+            if tuple(e.descriptor.spatial) != tuple(first.spatial):
+                raise ValueError(f"index mixes spatial sizes ({first.spatial} and "
+                                 f"{e.descriptor.spatial})")
         length = entries[0].descriptor.values.shape[0] if entries else 0
         by_id = sorted(entries, key=lambda e: e.item_id)
         matrix = np.array([e.descriptor.values for e in by_id], dtype=np.float64).reshape(
@@ -157,33 +162,48 @@ class DescriptorIndex:
     def labels(self) -> dict[str, int]:
         return {e.item_id: e.label for e in self.entries}
 
-    def save(self, directory: str | Path) -> None:
-        directory = Path(directory)
-        for e in self.entries:
-            save_descriptor(e.descriptor, e.item_id, directory)
-        (directory / "labels.json").write_text(
-            json.dumps({e.item_id: e.label for e in self.entries}, indent=2))
+    def save(self, path: str | Path) -> None:
+        """Write the index as one container: the float32 `[N, C]` matrix as
+        tensor `descriptors`, and pooling, spatial `[W, H]`, ids and labels
+        (in id order) in the manifest."""
+        labels = self.labels()
+        spatial = list(self.entries[0].descriptor.spatial) if self.entries else None
+        payload = {"kind": "descriptor_index", "pooling": self.kind, "spatial": spatial,
+                   "ids": list(self.ids), "labels": [labels[i] for i in self.ids]}
+        container.write_container(path, payload, [("descriptors", self.matrix)])
 
     @classmethod
-    def load(cls, directory: str | Path) -> "DescriptorIndex":
-        """Read a saved index; DescriptorFileError on any malformed file."""
-        directory = Path(directory)
-        labels_path = directory / "labels.json"
-        labels = read_json_file(labels_path)
-        if not isinstance(labels, dict):
-            raise DescriptorFileError(f"{labels_path}: expected an object of item id -> label")
-        entries = []
-        for item_id, label in sorted(labels.items()):
-            if item_id in ("", ".", "..") or any(ch in item_id for ch in "/\\\0"):
-                raise DescriptorFileError(f"{labels_path}: {item_id!r} is not an item id")
-            if not _is_int(label):
-                raise DescriptorFileError(f"{labels_path}: label of {item_id} is {label!r}, "
-                                          "not an integer")
-            entries.append(IndexEntry(item_id, load_descriptor(item_id, directory), label))
-        try:
-            return cls(entries=entries)
-        except ValueError as e:
-            raise DescriptorFileError(f"{directory}: {e}") from None
+    def load(cls, path: str | Path) -> "DescriptorIndex":
+        """Read a saved index; `container.ContainerError` on any malformed file."""
+        manifest, tensors = container.read_container(path)
+
+        def fail(what: str):
+            raise container.ContainerError(f"{path}: {what}")
+
+        if manifest.get("kind") != "descriptor_index":
+            fail(f"holds {manifest.get('kind')!r}, not a descriptor index")
+        ids, labels = manifest.get("ids"), manifest.get("labels")
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                and len(set(ids)) == len(ids)):
+            fail("ids must be a list of unique strings")
+        if not (isinstance(labels, list) and len(labels) == len(ids) and all(
+                isinstance(l, int) and not isinstance(l, bool) for l in labels)):
+            fail("labels must be one integer per id")
+        matrix = tensors.get("descriptors")
+        if (set(tensors) != {"descriptors"} or matrix.dtype != np.float64
+                or matrix.ndim != 2 or matrix.shape[0] != len(ids)):
+            fail(f"expected one [{len(ids)}, C] f32 tensor 'descriptors', got {sorted(tensors)}")
+        pooling, spatial = manifest.get("pooling"), manifest.get("spatial")
+        if ids:
+            if pooling not in POOLING_KINDS:
+                fail(f"unknown pooling kind {pooling!r}")
+            if not (isinstance(spatial, list) and len(spatial) == 2 and all(
+                    isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in spatial)):
+                fail(f"spatial must be [W, H] positive integers, got {spatial!r}")
+            if not np.all(np.isfinite(matrix)):
+                fail("non-finite descriptor values")
+        return cls(entries=[IndexEntry(i, Descriptor(row, pooling, tuple(spatial)), label)
+                            for i, row, label in zip(ids, matrix, labels)])
 
 
 def rank(query: Descriptor, index: DescriptorIndex, exclude_id: str | None = None) -> list[str]:
@@ -250,14 +270,15 @@ class EvalResult:
         }, indent=2)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query", "ap", "recall4"])
-            for qid in sorted(self.per_query_ap):
-                r4 = self.per_query_recall4.get(qid, "")
-                writer.writerow([qid, f"{self.per_query_ap[qid]:.12g}", r4])
-            writer.writerow(["mean", f"{self.mean_ap:.12g}",
-                             "" if self.mean_recall4 is None else f"{self.mean_recall4:.12g}"])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["query", "ap", "recall4"])
+        for qid in sorted(self.per_query_ap):
+            r4 = self.per_query_recall4.get(qid, "")
+            writer.writerow([qid, f"{self.per_query_ap[qid]:.12g}", r4])
+        writer.writerow(["mean", f"{self.mean_ap:.12g}",
+                         "" if self.mean_recall4 is None else f"{self.mean_recall4:.12g}"])
+        container.write_atomic(path, buf.getvalue().encode())
 
 
 def evaluate(index: DescriptorIndex, queries: list[tuple[str, Descriptor, set[str]]]) -> EvalResult:

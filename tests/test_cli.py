@@ -2,15 +2,19 @@
 
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from convprune.cli import ExperimentConfig, evaluate_model, main, run_pipeline
+from convprune.container import BLOB_NAME, MANIFEST_NAME, read_container
 from convprune.dataset import RetrievalDataset
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
 from convprune.pooling import POOLING_KINDS
+from convprune.retrieval import EvalResult
 
 from util import build_dataset
 
@@ -93,12 +97,12 @@ def test_extract_pooling_tags(workspace):
         assert main(["extract", "--model", str(workspace / "baseline"),
                      "--data", str(workspace / "data"), "--split", "index",
                      "--pooling", pooling, "--out", str(workspace / f"desc_{pooling}")]) == 0
-    sq = json.loads((workspace / "desc_sqp" / "i000_v1.json").read_text())
-    rm = json.loads((workspace / "desc_rmac" / "i000_v1.json").read_text())
+    sq, sq_tensors = read_container(workspace / "desc_sqp")
+    rm, rm_tensors = read_container(workspace / "desc_rmac")
     assert sq["pooling"] == "sqp" and rm["pooling"] == "rmac"
-    assert sq["channels"] == rm["channels"] == 8
-    raw = (workspace / "desc_sqp" / "i000_v1.f32").read_bytes()
-    assert len(raw) == 8 * 4
+    assert sq_tensors["descriptors"].shape == rm_tensors["descriptors"].shape == (24, 8)
+    assert sorted(p.name for p in (workspace / "desc_sqp").iterdir()) == [MANIFEST_NAME,
+                                                                         BLOB_NAME]
 
 
 def test_evaluate_command_and_report(workspace):
@@ -192,9 +196,12 @@ def test_split_descriptors_keep_split_order(workspace):
     assert list(descs) == [it.item_id for it in dataset.split("query")]
 
 
-def test_descriptor_index_roundtrip(workspace):
+def test_descriptor_index_roundtrip(workspace, tmp_path):
     from convprune.retrieval import DescriptorIndex
-    index = DescriptorIndex.load(workspace / "desc_sqp")
+    assert main(["extract", "--model", str(workspace / "baseline"),
+                 "--data", str(workspace / "data"), "--split", "index",
+                 "--pooling", "sqp", "--out", str(tmp_path / "desc")]) == 0
+    index = DescriptorIndex.load(tmp_path / "desc")
     assert index.kind == "sqp"
     assert len(index.entries) == 24  # 6 instances x 4 index images
     assert index.labels()["i000_v1"] == 0
@@ -211,6 +218,79 @@ def test_experiment_config_validation(tmp_path):
     cfg_path.write_text(json.dumps({"heuristics": ["h1"], "epochs": 3}))
     cfg = ExperimentConfig.from_file(str(cfg_path), {"epochs": 5})
     assert cfg.epochs == 5 and cfg.heuristics == ["h1"]
+
+
+@pytest.mark.parametrize("content", ["[]", '["epochs", 2]', '"h1"', "3", "null"])
+def test_experiment_config_file_must_be_an_object(content, tmp_path, workspace):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_file(str(cfg_path), {})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--data", str(workspace / "data"),
+                 "--model", str(workspace / "baseline"), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arch", [
+    {"input_shape": [3, 32, 32]},
+    {"input_shape": [3, 32, 32], "layers": ["conv"]},
+    {"input_shape": [3, 32, 32], "layers": [{"channels": 4, "kernel": 3}]},
+    {"layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+    [{"kind": "conv", "channels": 4, "kernel": 3}],
+], ids=["no-layers", "string-layer", "layer-without-kind", "no-input-shape", "list"])
+def test_train_rejects_malformed_architecture_file(arch, tmp_path, workspace):
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps(arch))
+    out = tmp_path / "model"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--arch", str(arch_path), "--epochs", "1"]) == 1
+    assert not out.exists()
+
+
+def _report(workspace):
+    from convprune.pruner import layer_size_report
+    return layer_size_report(load_model(str(workspace / "baseline")))
+
+
+ATOMIC_WRITERS = {
+    "prune-json": lambda ws, path: _report(ws).write_json(path),
+    "prune-csv": lambda ws, path: _report(ws).write_csv(path),
+    "eval-csv": lambda ws, path: EvalResult({"q": 0.5}, {"q": 2}, 1).write_csv(path),
+    "evaluate-json": lambda ws, path: main([
+        "evaluate", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(path)]),
+    "finetune-log": lambda ws, path: main([
+        "finetune", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(path.parent.parent / "tuned"), "--epochs", "1", "--log", str(path)]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_report_writers_replace_atomically(writer, workspace, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "report"
+    target.write_bytes(b"previous\n")
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == target:
+            raise OSError("rename failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    try:
+        failed = ATOMIC_WRITERS[writer](workspace, target) == 1  # a command's exit code
+    except OSError:
+        failed = True
+    assert failed
+    assert target.read_bytes() == b"previous\n"
+    assert [p.name for p in out.iterdir()] == ["report"]
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert ATOMIC_WRITERS[writer](workspace, target) in (None, 0)
+    assert target.read_bytes() != b"previous\n"
+    assert [p.name for p in out.iterdir()] == ["report"]
 
 
 @pytest.mark.parametrize("bad", [{"epochs": 0}, {"margin": 0.0}, {"batch_size": 0},
@@ -276,7 +356,8 @@ def test_pipeline_rows_and_t1_consistency(workspace):
     assert t1["map"] == f"{expected.mean_ap:.12g}"
     assert (out / "reports" / "prune_h1_t1_sqp.csv").exists()
     assert (out / "models" / "h1_t0.5_sqp" / "manifest.json").exists()
-    assert (out / "descriptors" / "h1_t0.5_sqp" / "labels.json").exists()
+    assert sorted(p.name for p in (out / "descriptors" / "h1_t0.5_sqp").iterdir()) == [
+        MANIFEST_NAME, BLOB_NAME]
     assert (out / "log.jsonl").read_text().strip()
 
 

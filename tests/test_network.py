@@ -69,6 +69,23 @@ def test_init_rejects_relu_final_layer():
         init_network({"input_shape": [3, 8, 8], "layers": []}, seed=0)
 
 
+@pytest.mark.parametrize("arch", [
+    [],
+    {"input_shape": [3, 8, 8]},
+    {"input_shape": [3, 8, 8], "layers": ["conv"]},
+    {"input_shape": [3, 8, 8], "layers": {"0": {"kind": "conv", "channels": 4, "kernel": 3}}},
+    {"input_shape": [3, 8, 8], "layers": [{"channels": 4, "kernel": 3}]},
+    {"layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+    {"input_shape": "3x8x8", "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+    {"input_shape": [3, 8, 8.5], "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+    {"input_shape": [3, True, 8], "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+], ids=["list", "no-layers", "string-layer", "layer-map", "layer-without-kind",
+        "no-input-shape", "string-input-shape", "float-input-size", "bool-input-size"])
+def test_init_rejects_malformed_architecture(arch):
+    with pytest.raises(ValueError):
+        init_network(arch, seed=0)
+
+
 def test_init_rejects_mismatched_channels():
     arch = {"input_shape": [3, 8, 8],
             "layers": [{"kind": "conv", "channels": 4, "kernel": 3, "stride": 1, "padding": 1,
@@ -244,8 +261,12 @@ def test_load_rejects_channels_that_disagree_with_weights(tmp_path):
     lambda m: m["architecture"]["layers"][1].update(kind="tanh"),
     lambda m: m["architecture"].update(input_shape=[2, 8]),
     lambda m: m.update(metadata=[1]),
+    lambda m: m["architecture"].update(layers=["conv"]),
+    lambda m: m["architecture"]["layers"][0].pop("kind"),
+    lambda m: m.update(architecture=[]),
 ], ids=["no-architecture", "no-layers", "string-kernel", "zero-stride", "unknown-kind",
-        "rank-2-input", "list-metadata"])
+        "rank-2-input", "list-metadata", "string-layer", "layer-without-kind",
+        "list-architecture"])
 def test_load_rejects_malformed_architecture(tmp_path, edit):
     path = tmp_path / "model"
     save_model(init_network(small_arch(), seed=2), str(path))

@@ -1,6 +1,5 @@
 """Pooling against direct formula oracles, plus grid and gradient checks."""
 
-import json
 import math
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convprune.pooling import (DescriptorFileError, RoiGrid, load_descriptor, pool_features,
-                               rmac_grid, rmac_pool, save_descriptor, sqp_pool)
+from convprune.pooling import RoiGrid, pool_features, rmac_grid, rmac_pool, sqp_pool
 from convprune.tensor import GradientTape, ShapeError
 
 from util import fd_gradient, reference_rmac, rel_error
@@ -291,52 +289,3 @@ def test_per_channel_locality(kind):
 def test_pool_features_rejects_unknown_kind():
     with pytest.raises(ValueError, match="pooling kind"):
         pool_features(np.zeros((1, 2, 2)), "gem")
-
-
-def test_descriptor_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    d = sqp_pool(rng.uniform(0, 1, size=(8, 4, 4)))
-    save_descriptor(d, "item42", tmp_path)
-    loaded = load_descriptor("item42", tmp_path)
-    assert loaded.kind == "sqp"
-    assert loaded.spatial == (4, 4)
-    assert np.array_equal(loaded.values, d.values.astype(np.float32).astype(np.float64))
-
-
-def _saved_descriptor(tmp_path):
-    d = sqp_pool(np.random.default_rng(10).uniform(0, 1, size=(8, 4, 4)))
-    save_descriptor(d, "item7", tmp_path)
-    return tmp_path / "item7.json", tmp_path / "item7.f32"
-
-
-@pytest.mark.parametrize("edit", [
-    lambda side: side.pop("channels"),
-    lambda side: side.update(spatial="xy"),
-    lambda side: side.update(spatial=[4, 0]),
-    lambda side: side.update(channels=8.0),
-    lambda side: side.update(pooling="gem"),
-    lambda side: side.update(item_id="item8"),
-])
-def test_load_descriptor_rejects_malformed_sidecar(tmp_path, edit):
-    sidecar_path, _ = _saved_descriptor(tmp_path)
-    sidecar = json.loads(sidecar_path.read_text())
-    edit(sidecar)
-    sidecar_path.write_text(json.dumps(sidecar))
-    with pytest.raises(DescriptorFileError):
-        load_descriptor("item7", tmp_path)
-
-
-def test_load_descriptor_rejects_bad_payload_and_missing_files(tmp_path):
-    sidecar_path, data_path = _saved_descriptor(tmp_path)
-    raw = data_path.read_bytes()
-    data_path.write_bytes(raw[:-3])
-    with pytest.raises(DescriptorFileError, match="payload bytes"):
-        load_descriptor("item7", tmp_path)
-    data_path.write_bytes(np.full(8, np.nan, dtype="<f4").tobytes())
-    with pytest.raises(DescriptorFileError, match="non-finite"):
-        load_descriptor("item7", tmp_path)
-    sidecar_path.write_bytes(b"{\"item_id\": \xff")
-    with pytest.raises(DescriptorFileError, match="JSON"):
-        load_descriptor("item7", tmp_path)
-    with pytest.raises(DescriptorFileError, match="missing"):
-        load_descriptor("item9", tmp_path)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convprune import retrieval
-from convprune.pooling import Descriptor, DescriptorFileError
+from convprune import container, retrieval
+from convprune.container import BLOB_NAME, MANIFEST_NAME, ContainerError, write_container
+from convprune.pooling import Descriptor
 from convprune.retrieval import (DescriptorIndex, EvalResult, IndexEntry, average_precision,
                                  evaluate, rank, recall4, similarity, similarity_op)
 from convprune.tensor import GradientTape
@@ -244,43 +245,122 @@ def save_small_index(directory):
     return index
 
 
+def edit_manifest(directory, edit):
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    edit(manifest)
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
 def test_index_load_roundtrip(tmp_path):
     index = save_small_index(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [MANIFEST_NAME, BLOB_NAME]
     loaded = DescriptorIndex.load(tmp_path)
     assert loaded.ids == index.ids
     assert loaded.labels() == index.labels()
+    assert loaded.kind == "sqp"
+    assert all(e.descriptor.spatial == (4, 4) for e in loaded.entries)
     assert np.array_equal(loaded.matrix, index.matrix.astype(np.float32).astype(np.float64))
 
 
+def test_empty_index_roundtrips(tmp_path):
+    DescriptorIndex(entries=[]).save(tmp_path)
+    assert json.loads((tmp_path / MANIFEST_NAME).read_text())["pooling"] is None
+    loaded = DescriptorIndex.load(tmp_path)
+    assert loaded.entries == () and loaded.kind is None and loaded.matrix.shape == (0, 0)
+
+
+def test_index_rejects_mixed_spatial_sizes():
+    with pytest.raises(ValueError, match="spatial"):
+        DescriptorIndex(entries=[IndexEntry("a", desc([1.0]), 0),
+                                 IndexEntry("b", Descriptor(np.array([2.0]), "sqp", (2, 2)), 1)])
+
+
 @pytest.mark.parametrize("labels", [
-    {"it0": 0, "it1": 1, "it2": 0, "it9": 1},  # names an item with no files
-    {"it0": "0", "it1": 1, "it2": 0},
-    {"it0": 0, "../it1": 1},
-    ["it0", "it1"],
+    [0, 1, 0, 1],  # one label more than there are ids
+    ["0", 1, 0],
+    [0, True, 0],
+    {"it0": 0, "it1": 1, "it2": 0},
 ])
 def test_index_load_rejects_bad_labels(tmp_path, labels):
     save_small_index(tmp_path)
-    (tmp_path / "labels.json").write_text(json.dumps(labels))
-    with pytest.raises(DescriptorFileError):
+    edit_manifest(tmp_path, lambda m: m.update(labels=labels))
+    with pytest.raises(ContainerError, match="labels"):
         DescriptorIndex.load(tmp_path)
 
 
 def test_index_load_rejects_mixed_kinds(tmp_path):
+    # one manifest names one pooling; a per-item list of kinds is malformed
     save_small_index(tmp_path)
-    sidecar = json.loads((tmp_path / "it1.json").read_text())
-    sidecar["pooling"] = "rmac"
-    (tmp_path / "it1.json").write_text(json.dumps(sidecar))
-    with pytest.raises(DescriptorFileError, match="kinds"):
+    edit_manifest(tmp_path, lambda m: m.update(pooling=["sqp", "rmac", "sqp"]))
+    with pytest.raises(ContainerError, match="pooling kind"):
         DescriptorIndex.load(tmp_path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(kind="model"),
+    lambda m: m.pop("kind"),
+    lambda m: m.update(ids=["it0", "it1"]),
+    lambda m: m.update(ids=["it0", "it1", "it1"]),
+    lambda m: m.update(ids=["it0", "it1", 2]),
+    lambda m: m.update(pooling="gem"),
+    lambda m: m.update(pooling=None),
+    lambda m: m.update(spatial="xy"),
+    lambda m: m.update(spatial=[4, 0]),
+    lambda m: m.update(spatial=[4, 4.0]),
+    lambda m: m.update(spatial=[4, 4, 1]),
+    lambda m: m["tensors"][0].update(name="values"),
+], ids=["model-kind", "no-kind", "short-ids", "duplicate-ids", "int-id", "unknown-pooling",
+        "null-pooling", "string-spatial", "zero-spatial", "float-spatial", "rank-3-spatial",
+        "renamed-tensor"])
+def test_index_load_rejects_malformed_manifest(tmp_path, edit):
+    save_small_index(tmp_path)
+    edit_manifest(tmp_path, edit)
+    with pytest.raises(ContainerError):
+        DescriptorIndex.load(tmp_path)
+
+
+@pytest.mark.parametrize("tensors", [
+    [("descriptors", np.ones((2, 3)))],
+    [("descriptors", np.ones(3))],
+    [("descriptors", np.ones((3, 3), dtype=bool))],
+    [("descriptors", np.ones((3, 3))), ("extra", np.ones(1))],
+    [("descriptors", np.full((3, 3), np.nan))],
+    [("descriptors", np.full((3, 3), np.inf))],
+    [],
+], ids=["two-rows", "vector", "bits", "extra-tensor", "nan", "inf", "no-tensor"])
+def test_index_load_rejects_bad_descriptor_tensor(tmp_path, tensors):
+    payload = {"kind": "descriptor_index", "pooling": "sqp", "spatial": [4, 4],
+               "ids": ["a", "b", "c"], "labels": [0, 1, 0]}
+    write_container(tmp_path, payload, tensors)
+    with pytest.raises(ContainerError):
+        DescriptorIndex.load(tmp_path)
+
+
+def test_index_load_rejects_missing_and_undecodable_files(tmp_path):
+    with pytest.raises(ContainerError):
+        DescriptorIndex.load(tmp_path / "absent")
+    save_small_index(tmp_path)
+    (tmp_path / MANIFEST_NAME).write_bytes(b'{"kind": \xff')
+    with pytest.raises(ContainerError):
+        DescriptorIndex.load(tmp_path)
+
+
+def test_index_save_is_one_traced_container_write(tmp_path, monkeypatch):
+    calls = []
+    write = container.write_container
+    monkeypatch.setattr(container, "write_container",
+                        lambda *a: calls.append(a[0]) or write(*a))
+    save_small_index(tmp_path)
+    assert calls == [tmp_path]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 6), st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 255))
-def test_corrupted_index_loads_consistently_or_raises(file_no, truncate, where, flip):
+@given(st.booleans(), st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 255))
+def test_corrupted_index_loads_consistently_or_raises(blob, truncate, where, flip):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         save_small_index(directory)
-        path = sorted(directory.iterdir())[file_no]
+        path = directory / (BLOB_NAME if blob else MANIFEST_NAME)
         raw = bytearray(path.read_bytes())
         if truncate:
             raw = raw[:where % len(raw)]
@@ -289,15 +369,18 @@ def test_corrupted_index_loads_consistently_or_raises(file_no, truncate, where, 
         path.write_bytes(bytes(raw))
         try:
             index = DescriptorIndex.load(directory)
-        except DescriptorFileError:
+        except ContainerError:
             return
-        labels = json.loads((directory / "labels.json").read_text())
-        assert index.ids == tuple(sorted(labels))
-        assert index.labels() == labels
-        for row, e in zip(index.matrix, sorted(index.entries, key=lambda e: e.item_id)):
-            assert e.descriptor.kind == index.kind
-            assert np.array_equal(row, e.descriptor.values)
-        assert np.all(np.isfinite(index.matrix))
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    labels = dict(zip(manifest["ids"], manifest["labels"]))
+    assert index.ids == tuple(sorted(labels))
+    assert index.labels() == labels
+    assert index.matrix.shape[0] == len(labels)
+    for row, e in zip(index.matrix, sorted(index.entries, key=lambda e: e.item_id)):
+        assert e.descriptor.kind == index.kind == manifest["pooling"]
+        assert e.descriptor.spatial == tuple(manifest["spatial"])
+        assert np.array_equal(row, e.descriptor.values)
+    assert np.all(np.isfinite(index.matrix))
 
 
 # ---------------------------------------------------------------------------
