@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convprune.pooling import RoiGrid, pool_features, rmac_grid, rmac_pool, sqp_pool
+from convprune.retrieval import DescriptorIndex, IndexEntry
 from convprune.tensor import GradientTape, ShapeError
 
 from util import fd_gradient, reference_rmac, rel_error
@@ -289,3 +290,15 @@ def test_per_channel_locality(kind):
 def test_pool_features_rejects_unknown_kind():
     with pytest.raises(ValueError, match="pooling kind"):
         pool_features(np.zeros((1, 2, 2)), "gem")
+
+
+def test_descriptor_roundtrip(tmp_path):
+    rng = np.random.default_rng(8)
+    d = sqp_pool(rng.uniform(0, 1, size=(8, 4, 4)))
+    DescriptorIndex(entries=[IndexEntry("item42", d, 0)]).save(tmp_path)
+    (entry,) = DescriptorIndex.load(tmp_path).entries
+    loaded = entry.descriptor
+    assert entry.item_id == "item42"
+    assert loaded.kind == "sqp"
+    assert loaded.spatial == (4, 4)
+    assert np.array_equal(loaded.values, d.values.astype(np.float32).astype(np.float64))
