@@ -216,13 +216,16 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
     out = Path(args.out)
-    if "layers" in payload:  # prune report
-        pruner.write_prune_csv(out, payload["layers"])
-    elif "per_query_ap" in payload:  # eval result
-        retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
-                             payload["query_count"]).write_csv(out)
-    else:
-        raise ValueError(f"{args.input} is neither a prune report nor an eval result")
+    try:
+        if "layers" in payload:  # prune report
+            pruner.write_prune_csv(out, payload["layers"])
+        elif "per_query_ap" in payload:  # eval result
+            retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
+                                 payload["query_count"]).write_csv(out)
+        else:
+            raise ValueError("no 'layers' or 'per_query_ap' key")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{args.input} is not a prune report or an eval result ({exc!r})") from exc
     print(f"wrote {out}")
     return 0
 

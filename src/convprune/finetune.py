@@ -12,7 +12,6 @@ import os
 import pickle
 import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,34 +185,30 @@ def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str
     """{item id: descriptor} for every item of `split`, in split order.
 
     Runs the compact network `model`'s masks leave. The calling process loads
-    every image, then the items are cut into `_workers` contiguous shares:
-    the caller describes share 0 and a child forked for this call describes
-    each other share (processes, not threads: an untaped forward holds the
-    interpreter lock most of the time). Shares are joined in split order, so
-    the descriptors are bitwise those of a serial loop. Forking is safe here
-    because `_workers` allows more than one share only when BLAS runs one
-    thread per call, and the fine-tuning thread pool lives within one
-    `triplet_gradients` call."""
+    every image, then describes them through `_forked_map`, so the
+    descriptors are bitwise those of a serial loop for any worker count."""
     model = compact_model(model)[0]
     ids = [it.item_id for it in dataset.split(split)]
     images = [dataset.load_image(i) for i in ids]
 
-    def describe(share):
-        return [descriptor_of(model, image, pooling, rmac_levels) for image in share]
+    def describe_one(image):
+        return descriptor_of(model, image, pooling, rmac_levels)
 
-    n = _workers(len(ids))
-    shares = [images[len(ids) * k // n:len(ids) * (k + 1) // n] for k in range(n)]
-    return dict(zip(ids, (d for part in _forked_map(describe, shares) for d in part)))
+    return dict(zip(ids, list(_forked_map(describe_one, images))))
 
 
-def _forked_map(fn, shares: list) -> list:
-    """[fn(share) for share in shares]: the caller runs share 0 and a child
-    forked for this call runs each other share, sending back its pickled
-    result or exception over a pipe. Every child is reaped before this
-    returns or raises, and a child's exception is raised here. Runs inline
-    where there is no `os.fork`."""
-    if len(shares) < 2 or not hasattr(os, "fork"):
-        return [fn(share) for share in shares]
+def _forked_map(fn, items: list):
+    """Yield fn(item) for every item, in item order, on `_workers` processes.
+
+    `items` is cut into contiguous shares. The caller runs share 0 lazily; a
+    child forked at the first `next` runs each other share, then pickles its
+    results one by one into a pipe that the caller reads in share order. So
+    the caller holds one child result at a time, and an exception is raised
+    here where a serial loop would raise it. Every child is killed and reaped
+    in `finally`, which a consumer reaches by exhausting the generator or, if
+    it stops early, by closing it. Runs inline with one worker or no fork."""
+    n = _workers(len(items)) if hasattr(os, "fork") else 1
+    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
     pids, pipes = [], []
     try:
         for share in shares[1:]:
@@ -228,40 +223,46 @@ def _forked_map(fn, shares: list) -> list:
                 pids.append(pid)
             finally:
                 os.close(w)  # the child never gets here: `_child_main` exits
-        results = [fn(shares[0])]
-        for pipe in pipes:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError("a descriptor worker process exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+        yield from map(fn, shares[0])
+        for pipe, share in zip(pipes, shares[1:]):
+            for _ in share:
+                try:
+                    ok, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError("a worker process exited without its results") from None
+                if not ok:
+                    raise value
+                yield value
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
-            # a child whose result was read has exited or is exiting; one whose
-            # result is not wanted may be blocked on a full pipe
+            # a child whose results were read has exited or is exiting; one
+            # whose results are not wanted may be blocked on a full pipe
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
 def _child_main(fn, share, w: int) -> None:
-    """A forked child's whole life: run `fn(share)`, write (True, result) or
-    (False, exception) to the pipe `w`, and exit without running any of the
-    parent's cleanup."""
+    """A forked child's whole life: run `fn` over `share` up to its first
+    exception, only then (so it never blocks on a pipe nobody reads yet)
+    write (True, result) per result and (False, exception) to the pipe `w`,
+    and exit without running any of the parent's cleanup."""
     try:
+        results, error = [], None
         try:
-            payload = pickle.dumps((True, fn(share)), pickle.HIGHEST_PROTOCOL)
+            for item in share:
+                results.append(fn(item))
         except BaseException as exc:  # noqa: BLE001 - the parent raises it; this process exits
-            try:
-                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-            except Exception:  # an exception holding something unpicklable
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            error = exc
         with open(w, "wb") as fh:
-            fh.write(payload)
+            for result in results:
+                pickle.dump((True, result), fh, pickle.HIGHEST_PROTOCOL)
+            if error is not None:
+                try:
+                    fh.write(pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL))
+                except Exception:  # an exception holding something unpicklable
+                    pickle.dump((False, RuntimeError(f"{type(error).__name__}: {error}")), fh)
     finally:
         os._exit(0)
 
@@ -270,11 +271,10 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def _workers(n: int) -> int:
-    """Workers for `triplet_gradients` (threads) and `split_descriptors`
-    (processes): one per usable core, capped at `n`, when BLAS runs one
-    thread per call (the first of the BLAS thread variables that is set reads
-    1); otherwise 1. Workers on top of a multi-threaded BLAS oversubscribe
-    the cores and run slower."""
+    """Processes for `_forked_map`: one per usable core, capped at `n`, when
+    BLAS runs one thread per call (the first of the BLAS thread variables
+    that is set reads 1); otherwise 1. Workers on top of a multi-threaded
+    BLAS oversubscribe the cores and run slower."""
     pinned = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), None)
     if pinned != "1":
         return 1
@@ -308,10 +308,10 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
     layer index: (weight grad sum, bias grad sum)}, summed loss, active
     hinge count).
 
-    Triplets run on `_workers` threads, each on its own tape; the calling
-    thread loads every image first and consumes the results in triplet
-    order, so the first non-finite loss in that order raises and the sums
-    are bitwise those of a serial loop for any worker count."""
+    Triplets run through `_forked_map`, each on its own tape; the caller
+    loads every image first and folds the results in triplet order, so the
+    first non-finite loss in that order raises and the sums are bitwise
+    those of a serial loop for any worker count."""
     conv_layers = model.conv_layers()
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
     triplets = list(triplets)
@@ -323,10 +323,8 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
 
     loss_sum = 0.0
     active = 0
-    workers = _workers(len(triplets))
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    results = _forked_map(run, images)
     try:
-        results = map(run, images) if pool is None else pool.map(run, images)
         for t, (loss_value, layer_grads) in zip(triplets, results):
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(f"non-finite loss{where}, triplet "
@@ -340,8 +338,7 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
                     if g is not None:
                         acc += g
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        results.close()
     return grads, loss_sum, active
 
 

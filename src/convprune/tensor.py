@@ -63,11 +63,10 @@ class GradientTape:
     """Wengert list: operations recorded in execution order, replayed in
     strict reverse order to accumulate gradients.
 
-    A tape is single-use and confined to one thread: one tape per
-    forward/backward pass, never shared (separate tapes may run on separate
-    threads). `backward` pops each entry, and the gradient of its output, as
-    it replays it, so saved context, activations and intermediate gradients
-    are freed while the pass runs; afterwards the tape has no entries and a
+    A tape is single-use: one tape per forward/backward pass, never shared.
+    `backward` pops each entry, and the gradient of its output, as it
+    replays it, so saved context, activations and intermediate gradients are
+    freed while the pass runs; afterwards the tape has no entries and a
     second `backward` raises ValueError. `gradient()` answers for leaves,
     arrays that no recorded op produced (weights, biases, inputs); the tape
     keeps each leaf it holds a gradient for alive, so identity lookup stays

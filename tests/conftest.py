@@ -2,7 +2,8 @@ import os
 
 # Run the suite the way the benchmark runs the program: BLAS reads its thread
 # count when numpy first loads it, so pin it before numpy is imported. With
-# BLAS at one thread, `triplet_gradients` runs triplets on one thread per core.
+# BLAS at one thread, `finetune._forked_map` runs triplet gradients and
+# descriptors on one process per core.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the pipeline sweep."""
 
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convprune.cli import ExperimentConfig, evaluate_model, main, run_pipeline
+from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
 from convprune.container import BLOB_NAME, MANIFEST_NAME, read_container
 from convprune.dataset import RetrievalDataset
 from convprune.finetune import FinetuneConfig
@@ -118,6 +119,20 @@ def test_evaluate_command_and_report(workspace):
     out2 = workspace / "eval2.csv"
     assert main(["report", "--input", str(out_json), "--out", str(out2)]) == 0
     assert out2.read_text() == out_csv.read_text()
+
+
+@pytest.mark.parametrize("payload", [
+    "no layers here",
+    {"layers": [{"layer": "L0", "total": 4, "fraction": 0.5}]},
+    {"per_query_ap": {"q0": 1.0}, "query_count": 1},
+], ids=["string", "prune-row-without-remaining", "eval-without-recall4"])
+def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
+    path = tmp_path / "bad_report.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match="bad_report.json"):
+        cmd_report(argparse.Namespace(input=str(path), out=str(out)))
+    assert not out.exists()
 
 
 def test_evaluate_planted_duplicates_map_one(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -420,6 +421,56 @@ def test_first_diverged_triplet_in_order_raises_with_two_workers(small_dataset, 
     monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
     with pytest.raises(TrainingDiverged, match=f"batch 7, triplet nan2/{ids[0]}/{ids[1]}"):
         triplet_gradients(model, triplets, ArrayDataset(images), "sqp", 0.1, where=" at batch 7")
+
+
+@pytest.mark.parametrize("nan_in_share_0", [False, True])
+def test_first_error_in_triplet_order_raises_across_shares(small_dataset, nan_in_share_0,
+                                                           monkeypatch):
+    ids = [it.item_id for it in small_dataset.split("train")]
+    images = {i: small_dataset.load_image(i) for i in ids}
+    images["small"] = images[ids[0]][:, :16]
+    images["nan"] = np.full_like(images[ids[0]], np.nan)
+    triplets = [Triplet(ids[k], ids[k + 1], ids[k + 9]) for k in range(6)]
+    triplets[4] = Triplet("small", "small", "small")  # two workers: share 1 is triplets 3-5
+    expected = pytest.raises(ShapeError, match=r"image shape \(3, 3, 16, 32\)")
+    if nan_in_share_0:
+        triplets[1] = Triplet("nan", ids[0], ids[1])
+        expected = pytest.raises(TrainingDiverged, match=f"triplet nan/{ids[0]}/{ids[1]}")
+    model = init_network({"input_shape": list(images[ids[0]].shape),
+                          "layers": [{"kind": "conv", "channels": 4, "kernel": 3,
+                                      "stride": 1, "padding": 1}]}, seed=2)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    with expected:
+        triplet_gradients(model, triplets, ArrayDataset(images), "sqp", 0.1)
+
+
+def test_forked_map_worker_that_dies_raises_in_caller(monkeypatch):
+    def square_or_die(item):
+        if item == 3:
+            os._exit(3)
+        return item * item
+
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    results = finetune_module._forked_map(square_or_die, [0, 1, 2, 3])
+    assert [next(results), next(results)] == [0, 1]  # share 0, run by the caller
+    with pytest.raises(RuntimeError, match="exited without its results"):
+        next(results)
+
+
+def test_triplet_passes_run_on_the_calling_thread_alone(small_dataset, small_model,
+                                                        monkeypatch):
+    triplet_pass = finetune_module._triplet_pass
+    thread_counts = []
+
+    def counted(*args, **kwargs):
+        thread_counts.append(threading.active_count())
+        return triplet_pass(*args, **kwargs)
+
+    monkeypatch.setattr(finetune_module, "_triplet_pass", counted)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    batch = sample_triplets(small_dataset, 8, seed=1)
+    sgd_batch_step(small_model, batch, small_dataset, FinetuneConfig())
+    assert thread_counts == [1] * 4  # share 0 ran here; share 1 ran in a forked child
 
 
 def test_worker_rule_follows_blas_thread_pin(monkeypatch):
