@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 import time
@@ -25,7 +26,7 @@ from . import pruner, retrieval, salience
 # `cli.descriptor_of` by name and fails if the name is missing
 from .finetune import (MINING_MODES, FinetuneConfig, descriptor_of,  # noqa: F401
                        finetune as run_finetune, require_int, sample_triplets,
-                       split_descriptors, train_baseline)
+                       split_descriptors, train_baseline, training_workers)
 from .pooling import POOLING_KINDS
 
 DEFAULT_KEEP_FRACTIONS = (0.5, 0.4, 0.3, 0.2, 0.1)
@@ -237,8 +238,9 @@ def cmd_report(args) -> int:
 def run_pipeline(cfg: ExperimentConfig) -> Path:
     """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
 
-    Emits metrics.csv rows incrementally so partial results survive a
-    failure; models, per-point prune reports, and a JSON-lines event log
+    Rewrites metrics.csv atomically after each row, so partial results
+    survive a failure; models, per-point prune reports, and a JSON-lines
+    event log (each `finetuned` event with its epoch log and worker count)
     land next to it.
     """
     if not cfg.data or not cfg.model or not cfg.out:
@@ -271,42 +273,47 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         return salience_cache[key]
 
     failed = False
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"])
-        fh.flush()
-        for pooling in cfg.poolings:
-            for heuristic in cfg.heuristics:
-                for keep in cfg.keep_fractions:
-                    tag = f"{heuristic}_t{keep:g}_{pooling}"
-                    try:
-                        smap = salience_for_point(heuristic, pooling)
-                        pruned, report = pruner.apply_pruning(baseline, smap, keep)
-                        report.write_json(out / "reports" / f"prune_{tag}.json")
-                        report.write_csv(out / "reports" / f"prune_{tag}.csv")
-                        before = evaluate_model(pruned, dataset, pooling, cfg.rmac_levels)
-                        _write_row(writer, fh, heuristic, keep, pooling, "pruned", before)
-                        log_event(stage="pruned", point=tag, map=before.mean_ap)
+    rows = io.StringIO(newline="")
+    writer = csv.writer(rows)
 
-                        tuned, _ = run_finetune(pruned, dataset, cfg.finetune_config(pooling))
-                        net.save_model(tuned, str(out / "models" / tag))
-                        after = evaluate_model(tuned, dataset, pooling, cfg.rmac_levels,
-                                               save_index_to=out / "descriptors" / tag)
-                        _write_row(writer, fh, heuristic, keep, pooling, "finetuned", after)
-                        log_event(stage="finetuned", point=tag, map=after.mean_ap)
-                    except Exception as exc:  # keep partial results, fail the run
-                        failed = True
-                        log_event(stage="error", point=tag, error=str(exc))
-                        print(f"point {tag} failed: {exc}", file=sys.stderr)
+    def write_row(row: list) -> None:
+        writer.writerow(row)
+        container.write_atomic(metrics_path, rows.getvalue().encode())
+
+    write_row(["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"])
+    for pooling in cfg.poolings:
+        for heuristic in cfg.heuristics:
+            for keep in cfg.keep_fractions:
+                tag = f"{heuristic}_t{keep:g}_{pooling}"
+                try:
+                    smap = salience_for_point(heuristic, pooling)
+                    pruned, report = pruner.apply_pruning(baseline, smap, keep)
+                    report.write_json(out / "reports" / f"prune_{tag}.json")
+                    report.write_csv(out / "reports" / f"prune_{tag}.csv")
+                    before = evaluate_model(pruned, dataset, pooling, cfg.rmac_levels)
+                    write_row(_row(heuristic, keep, pooling, "pruned", before))
+                    log_event(stage="pruned", point=tag, map=before.mean_ap)
+
+                    ft_cfg = cfg.finetune_config(pooling)
+                    tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
+                    net.save_model(tuned, str(out / "models" / tag))
+                    after = evaluate_model(tuned, dataset, pooling, cfg.rmac_levels,
+                                           save_index_to=out / "descriptors" / tag)
+                    write_row(_row(heuristic, keep, pooling, "finetuned", after))
+                    log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs,
+                              workers=training_workers(dataset, ft_cfg))
+                except Exception as exc:  # keep partial results, fail the run
+                    failed = True
+                    log_event(stage="error", point=tag, error=str(exc))
+                    print(f"point {tag} failed: {exc}", file=sys.stderr)
     if failed:
         raise RuntimeError(f"one or more pipeline points failed; partial results in {out}")
     return out
 
 
-def _write_row(writer, fh, heuristic, keep, pooling, phase, result) -> None:
+def _row(heuristic, keep, pooling, phase, result) -> list[str]:
     r4 = "" if result.mean_recall4 is None else f"{result.mean_recall4:.12g}"
-    writer.writerow([heuristic, f"{keep:g}", pooling, phase, f"{result.mean_ap:.12g}", r4])
-    fh.flush()
+    return [heuristic, f"{keep:g}", pooling, phase, f"{result.mean_ap:.12g}", r4]
 
 
 def cmd_pipeline(args) -> int:

@@ -8,6 +8,7 @@ edges stay pruned no matter what the gradients do. Biases train freely.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import signal
@@ -185,110 +186,173 @@ def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str
     """{item id: descriptor} for every item of `split`, in split order.
 
     Runs the compact network `model`'s masks leave. The calling process loads
-    every image, then describes them through `_forked_map`, so the
+    every image, then describes them by index through `_forked_map`, so the
     descriptors are bitwise those of a serial loop for any worker count."""
     model = compact_model(model)[0]
     ids = [it.item_id for it in dataset.split(split)]
     images = [dataset.load_image(i) for i in ids]
-
-    def describe_one(image):
-        return descriptor_of(model, image, pooling, rmac_levels)
-
-    return dict(zip(ids, list(_forked_map(describe_one, images))))
+    descriptors = _forked_map(lambda k: descriptor_of(model, images[k], pooling, rmac_levels),
+                              range(len(images)))
+    return dict(zip(ids, list(descriptors)))
 
 
-def _forked_map(fn, items: list):
-    """Yield fn(item) for every item, in item order, on `_workers` processes.
-
-    `items` is cut into contiguous shares. The caller runs share 0 lazily; a
-    child forked at the first `next` runs each other share, then pickles its
-    results one by one into a pipe that the caller reads in share order. So
-    the caller holds one child result at a time, and an exception is raised
-    here where a serial loop would raise it. Every child is killed and reaped
-    in `finally`, which a consumer reaches by exhausting the generator or, if
-    it stops early, by closing it. Runs inline with one worker or no fork."""
-    n = _workers(len(items)) if hasattr(os, "fork") else 1
-    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
-    pids, pipes = [], []
+def _forked_map(fn, items):
+    """Yield fn(item) for every item, in item order, from a `_Workers` pool
+    forked at the first `next` and closed when the generator ends or closes."""
+    items = list(items)
+    workers = _Workers(fn, _workers(len(items)))
     try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    for pipe in pipes:  # its own read end and the earlier children's
-                        pipe.close()
-                    _child_main(fn, share, w)
-                pids.append(pid)
-            finally:
-                os.close(w)  # the child never gets here: `_child_main` exits
-        yield from map(fn, shares[0])
-        for pipe, share in zip(pipes, shares[1:]):
-            for _ in share:
-                try:
-                    ok, value = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError("a worker process exited without its results") from None
-                if not ok:
-                    raise value
-                yield value
+        yield from workers.map(items)
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            # a child whose results were read has exited or is exiting; one
-            # whose results are not wanted may be blocked on a full pipe
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        workers.close()
 
 
-def _child_main(fn, share, w: int) -> None:
-    """A forked child's whole life: run `fn` over `share` up to its first
-    exception, only then (so it never blocks on a pipe nobody reads yet)
-    write (True, result) per result and (False, exception) to the pipe `w`,
-    and exit without running any of the parent's cleanup."""
-    try:
-        results, error = [], None
+# The caller's ends of every live pool's pipes, per process as descriptors are:
+# a new worker closes them all, so each end has one holder, and a worker or a
+# caller that dies ends its pipes even while another pool forks.
+_CALLER_ENDS: set[int] = set()
+
+
+class _Workers:
+    """`n - 1` forked processes, each running `fn` on the share of items every
+    `map` sends it; the caller runs share 0, and all of it with n == 1. Items
+    and results cross pipes, so pass ids or indices: a worker sees memory as
+    it was at the fork, apart from shared memory (`_share_weights`)."""
+
+    def __init__(self, fn, n: int):
+        self.fn, self.n, self.children = fn, n, []
         try:
-            for item in share:
-                results.append(fn(item))
-        except BaseException as exc:  # noqa: BLE001 - the parent raises it; this process exits
-            error = exc
-        with open(w, "wb") as fh:
-            for result in results:
-                pickle.dump((True, result), fh, pickle.HIGHEST_PROTOCOL)
-            if error is not None:
+            for _ in range(n - 1):
+                (req_r, req_w), (res_r, res_w) = os.pipe(), os.pipe()
+                _CALLER_ENDS.update((req_w, res_r))
+                child = [0, req_w, open(res_r, "rb")]  # pid 0 until the fork succeeds
+                self.children.append(child)
                 try:
-                    fh.write(pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL))
-                except Exception:  # an exception holding something unpicklable
-                    pickle.dump((False, RuntimeError(f"{type(error).__name__}: {error}")), fh)
+                    child[0] = os.fork()
+                    if child[0] == 0:
+                        _serve(fn, req_r, res_w)
+                finally:  # the child never gets here: `_serve` exits
+                    os.close(req_r)
+                    os.close(res_w)
+        except BaseException:
+            self.close()
+            raise
+
+    def map(self, items: list):
+        """Yield fn(item) for every item, in item order. Each worker is sent
+        its contiguous share at once; the caller runs share 0 lazily, then
+        reads the workers in share order, so an exception is raised where a
+        serial loop would raise it. A map left with results unread closes."""
+        n = self.n
+        shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
+        unread = len(items) - len(shares[0])
+        try:
+            for (_, requests, _), share in zip(self.children, shares[1:]):
+                data = memoryview(pickle.dumps(share, pickle.HIGHEST_PROTOCOL))
+                while data:
+                    data = data[os.write(requests, data):]
+            yield from map(self.fn, shares[0])
+            for (_, _, results), share in zip(self.children, shares[1:]):
+                for _ in share:
+                    try:
+                        ok, value = pickle.load(results)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise RuntimeError("a worker process exited without its results") from None
+                    unread -= 1
+                    if not ok:
+                        raise value
+                    yield value
+        finally:
+            if unread:
+                self.close()
+
+    def close(self) -> None:
+        """Kill and reap every worker, which may wait for a share or be blocked
+        on a full pipe; later maps run inline."""
+        children, self.children, self.n = self.children, [], 1
+        for pid, requests, results in children:
+            _CALLER_ENDS.difference_update((requests, results.fileno()))
+            os.close(requests)
+            results.close()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _serve(fn, r: int, w: int) -> None:
+    """A forked worker's whole life. Per share read from the pipe `r`, run
+    `fn` over it up to its first exception (a result that cannot be pickled
+    counts as one), and only then, so it never blocks on a pipe the caller
+    does not read yet, write (True, result) per result and (False, exception)
+    to the pipe `w`. Exit, skipping the caller's cleanup, when `r` ends."""
+    try:
+        for fd in _CALLER_ENDS:
+            os.close(fd)
+        with open(r, "rb") as requests, open(w, "wb") as out:
+            while True:
+                try:
+                    share = pickle.load(requests)
+                except EOFError:
+                    break
+                replies = []
+                try:
+                    for item in share:
+                        result = fn(item)
+                        try:
+                            replies.append(pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL))
+                        except Exception as exc:  # noqa: BLE001 - pickling can raise anything
+                            raise pickle.PicklingError(f"a worker's result cannot be pickled: "
+                                                       f"{type(exc).__name__}: {exc}") from None
+                except BaseException as exc:  # noqa: BLE001 - the caller raises it
+                    try:
+                        replies.append(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+                    except Exception:  # an exception holding something unpicklable
+                        replies.append(pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: "
+                                                                         f"{exc}"))))
+                out.writelines(replies)
+                out.flush()
     finally:
         os._exit(0)
+
+
+def _share_weights(model: NetworkModel) -> None:
+    """Move the conv weights and biases of `model` into one shared anonymous
+    mapping, as views of it, so workers forked afterwards read every in-place
+    update the caller makes."""
+    arrays = [(layer, name) for _, layer in model.conv_layers() for name in ("weights", "bias")]
+    shared = mmap.mmap(-1, max(1, sum(getattr(l, name).nbytes for l, name in arrays)))
+    offset = 0
+    for layer, name in arrays:
+        old = getattr(layer, name)
+        new = np.frombuffer(shared, old.dtype, old.size, offset).reshape(old.shape)
+        new[...] = old
+        setattr(layer, name, new)
+        offset += old.nbytes
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _workers(n: int) -> int:
-    """Processes for `_forked_map`: one per usable core, capped at `n`, when
-    BLAS runs one thread per call (the first of the BLAS thread variables
-    that is set reads 1); otherwise 1. Workers on top of a multi-threaded
-    BLAS oversubscribe the cores and run slower."""
+    """Processes for `n` items: one per usable core, capped at `n`, when
+    `os.fork` exists and BLAS runs one thread per call (the first of the
+    BLAS thread variables that is set reads 1); otherwise 1. Workers on top
+    of a multi-threaded BLAS oversubscribe the cores and run slower."""
     pinned = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), None)
-    if pinned != "1":
+    if pinned != "1" or not hasattr(os, "fork"):
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cores or 1, n))
 
 
-def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float,
-                  rmac_levels: int) -> tuple[float, list | None]:
+def _triplet_pass(model: NetworkModel, dataset: RetrievalDataset, triplet: Triplet,
+                  pooling: str, margin: float, rmac_levels: int) -> tuple[float, list | None]:
     """One triplet on its own tape: one forward of the [3,C,H,W] stack of its
     query, positive and negative images (a tape constant) and, if the hinge
     is active, one backward. Returns (loss, per conv layer (weight grad,
     bias grad), or None when the hinge is inactive or the loss non-finite)."""
-    stack = np.stack(images)
+    stack = np.stack([dataset.load_image(i)
+                      for i in (triplet.query, triplet.positive, triplet.negative)])
     tape = GradientTape(constants=(stack,))
     dq, dp, dn = descriptor_of(model, stack, pooling, rmac_levels, tape=tape)
     loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
@@ -301,29 +365,25 @@ def _triplet_pass(model: NetworkModel, images: list, pooling: str, margin: float
 
 
 def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, pooling: str,
-                      margin: float, rmac_levels: int = 3,
-                      where: str = "") -> tuple[dict, float, int]:
+                      margin: float, rmac_levels: int = 3, where: str = "",
+                      workers: _Workers | None = None) -> tuple[dict, float, int]:
     """Per triplet: one tape forward of its three images, stacked (a tape
     constant), and, if the hinge is active, one backward. Returns ({conv
     layer index: (weight grad sum, bias grad sum)}, summed loss, active
     hinge count).
 
-    Triplets run through `_forked_map`, each on its own tape; the caller
-    loads every image first and folds the results in triplet order, so the
-    first non-finite loss in that order raises and the sums are bitwise
+    Triplets run, each on its own tape, on `workers` (a pool running
+    `_triplet_pass` with these arguments, which `finetune` keeps) or else
+    through `_forked_map`. The caller folds the results in triplet order, so
+    the first non-finite loss in that order raises and the sums are bitwise
     those of a serial loop for any worker count."""
     conv_layers = model.conv_layers()
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
     triplets = list(triplets)
-    images = [[dataset.load_image(i) for i in (t.query, t.positive, t.negative)]
-              for t in triplets]
-
-    def run(triplet_images):
-        return _triplet_pass(model, triplet_images, pooling, margin, rmac_levels)
-
+    results = workers.map(triplets) if workers is not None else _forked_map(
+        lambda t: _triplet_pass(model, dataset, t, pooling, margin, rmac_levels), triplets)
     loss_sum = 0.0
     active = 0
-    results = _forked_map(run, images)
     try:
         for t, (loss_value, layer_grads) in zip(triplets, results):
             if not np.isfinite(loss_value):
@@ -343,11 +403,13 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
 
 
 def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: RetrievalDataset,
-                   config: FinetuneConfig, where: str = "") -> tuple[float, int]:
+                   config: FinetuneConfig, where: str = "",
+                   workers: _Workers | None = None) -> tuple[float, int]:
     """One in-place SGD step along the mean triplet gradient; masked weights
     are projected back to exactly zero. Returns (summed loss, active count)."""
     grads, loss_sum, active = triplet_gradients(model, batch, dataset, config.pooling,
-                                                config.margin, config.rmac_levels, where)
+                                                config.margin, config.rmac_levels, where,
+                                                workers)
     scale = config.learning_rate / len(batch)
     for idx, layer in model.conv_layers():
         gw, gb = grads[idx]
@@ -359,6 +421,11 @@ def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: Retrieval
     return loss_sum, active
 
 
+def training_workers(dataset: RetrievalDataset, config: FinetuneConfig) -> int:
+    """The processes `finetune` trains on: `_workers` of its largest batch."""
+    return _workers(min(config.batch_size, len(dataset.split("train"))))
+
+
 def finetune(model: NetworkModel, dataset: RetrievalDataset,
              config: FinetuneConfig) -> tuple[NetworkModel, list[dict]]:
     """SGD over triplet batches; returns (updated model copy, per-epoch log).
@@ -368,6 +435,11 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     runs on the compact network the masks leave (`compact_model`), whose
     weights and biases are then written into a copy of `model`; the entries
     it drops have an exactly zero dense gradient, so they keep their values.
+
+    The `training_workers` processes are forked once, after the compact
+    weights move to shared memory and the training images into the dataset
+    cache, and serve every batch of every epoch: each SGD step the caller
+    takes in place is what they read on the next batch.
     """
     validate_masks(model)
     tuned = clone_model(model)
@@ -377,33 +449,43 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
         raise ValueError("dataset has no training images")
     triplets_per_epoch = n_train
     log: list[dict] = []
-
-    for epoch in range(config.epochs):
-        t_start = time.perf_counter()
-        descriptors = None
-        if config.mining == "hard":
-            descriptors = split_descriptors(model, dataset, "train", config.pooling,
-                                            config.rmac_levels)
-        triplets = sample_triplets(dataset, triplets_per_epoch, mode=config.mining,
-                                   seed=[config.seed, epoch], descriptors=descriptors,
-                                   pool_size=config.hard_pool_size)
-        loss_sum = 0.0
-        active = 0
-        for start in range(0, len(triplets), config.batch_size):
-            batch = triplets[start:start + config.batch_size]
-            batch_loss, batch_active = sgd_batch_step(
-                model, batch, dataset, config,
-                where=f" at epoch {epoch}, batch starting at triplet {start}")
-            loss_sum += batch_loss
-            active += batch_active
-        entry = {
-            "epoch": epoch,
-            "mean_loss": loss_sum / len(triplets),
-            "active_fraction": active / len(triplets),
-            "wall_time": time.perf_counter() - t_start,
-        }
-        log.append(entry)
-        tuned.meta.setdefault("history", []).append(entry)
+    n_workers = training_workers(dataset, config)
+    if n_workers > 1:
+        _share_weights(model)
+        for it in dataset.split("train"):
+            dataset.load_image(it.item_id)
+    workers = _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin,
+                                               config.rmac_levels), n_workers)
+    try:
+        for epoch in range(config.epochs):
+            t_start = time.perf_counter()
+            descriptors = None
+            if config.mining == "hard":
+                descriptors = split_descriptors(model, dataset, "train", config.pooling,
+                                                config.rmac_levels)
+            triplets = sample_triplets(dataset, triplets_per_epoch, mode=config.mining,
+                                       seed=[config.seed, epoch], descriptors=descriptors,
+                                       pool_size=config.hard_pool_size)
+            loss_sum = 0.0
+            active = 0
+            for start in range(0, len(triplets), config.batch_size):
+                batch = triplets[start:start + config.batch_size]
+                batch_loss, batch_active = sgd_batch_step(
+                    model, batch, dataset, config,
+                    where=f" at epoch {epoch}, batch starting at triplet {start}",
+                    workers=workers)
+                loss_sum += batch_loss
+                active += batch_active
+            entry = {
+                "epoch": epoch,
+                "mean_loss": loss_sum / len(triplets),
+                "active_fraction": active / len(triplets),
+                "wall_time": time.perf_counter() - t_start,
+            }
+            log.append(entry)
+            tuned.meta.setdefault("history", []).append(entry)
+    finally:
+        workers.close()
     expand_compact(tuned, model, kept)
     validate_masks(tuned)
     return tuned, log

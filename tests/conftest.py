@@ -2,8 +2,9 @@ import os
 
 # Run the suite the way the benchmark runs the program: BLAS reads its thread
 # count when numpy first loads it, so pin it before numpy is imported. With
-# BLAS at one thread, `finetune._forked_map` runs triplet gradients and
-# descriptors on one process per core.
+# BLAS at one thread, the program forks one process per core: `finetune`
+# forks its workers once per call and they serve every SGD batch, while
+# `finetune._forked_map` forks a pool for one map (descriptors, `h2`).
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

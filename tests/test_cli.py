@@ -417,6 +417,53 @@ def test_pipeline_rerun_starts_a_fresh_log(workspace):
     assert min(e["time"] for e in events) > max(json.loads(line)["time"] for line in first)
 
 
+def test_pipeline_metrics_keep_complete_rows_when_a_write_fails(workspace, tmp_path,
+                                                                monkeypatch):
+    def run(name):
+        cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                               epochs=1, seed=4, data=str(workspace / "data"),
+                               model=str(workspace / "baseline"), out=str(tmp_path / name))
+        run_pipeline(cfg)
+
+    run("whole")
+    whole = (tmp_path / "whole" / "metrics.csv").read_bytes()
+    assert len(whole.splitlines()) == 3  # the header, the pruned and the finetuned row
+    metrics = tmp_path / "failed" / "metrics.csv"
+    real_replace = os.replace
+    writes = []
+
+    def replace(src, dst):
+        if Path(dst) == metrics:
+            writes.append(dst)
+            if len(writes) == 3:  # the finetuned row's write
+                raise OSError("rename failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(RuntimeError, match="partial results"):
+        run("failed")
+    assert len(writes) == 3
+    assert metrics.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])
+    assert not [p for p in metrics.parent.iterdir() if p.name.endswith(".tmp")]
+    assert "rename failed" in (metrics.parent / "log.jsonl").read_text()
+
+
+def test_pipeline_finetuned_events_carry_the_epoch_log(workspace, monkeypatch):
+    from convprune import finetune as finetune_module
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    out = workspace / "telemetry"
+    run_pipeline(ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                                  epochs=2, seed=4, data=str(workspace / "data"),
+                                  model=str(workspace / "baseline"), out=str(out)))
+    events = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    tuned = [e for e in events if e["stage"] == "finetuned"]
+    assert len(tuned) == 1 and tuned[0]["workers"] == 2
+    assert [e["epoch"] for e in tuned[0]["epochs"]] == [0, 1]
+    for entry in tuned[0]["epochs"]:
+        assert {"mean_loss", "active_fraction", "wall_time"} <= entry.keys()
+    assert b"wall_time" not in (out / "metrics.csv").read_bytes()
+
+
 def test_pipeline_requires_paths():
     with pytest.raises(ValueError, match="pipeline needs"):
         run_pipeline(ExperimentConfig())

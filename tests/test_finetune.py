@@ -1,6 +1,7 @@
 """Triplet loss, sampling, and the mask-preserving SGD loop."""
 
 import os
+import pickle
 import sys
 import threading
 
@@ -457,6 +458,39 @@ def test_forked_map_worker_that_dies_raises_in_caller(monkeypatch):
         next(results)
 
 
+def test_forked_map_unpicklable_result_raises_naming_it(monkeypatch):
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    results = finetune_module._forked_map(lambda i: (lambda: i), [0, 1, 2, 3])
+    assert [next(results)(), next(results)()] == [0, 1]  # share 0 never crosses a pipe
+    with pytest.raises(pickle.PicklingError, match="cannot be pickled: .*lambda"):
+        next(results)
+
+
+def test_workers_hold_no_pipe_end_of_another_pool():
+    trainers = finetune_module._Workers(lambda i: i, 2)  # as `finetune` keeps one
+    try:
+        ends = [fd for _, requests, results in trainers.children
+                for fd in (requests, results.fileno())]
+
+        def open_ends(_):
+            still_open = []
+            for fd in ends:
+                try:
+                    os.fstat(fd)
+                    still_open.append(fd)
+                except OSError:
+                    pass
+            return still_open
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finetune_module, "_workers", lambda n: 2)
+            in_caller, in_worker = finetune_module._forked_map(open_ends, [0, 1])
+        assert in_caller == ends and in_worker == []
+        assert list(trainers.map([3, 4])) == [3, 4]  # the trainer pool still serves
+    finally:
+        trainers.close()
+
+
 def test_triplet_passes_run_on_the_calling_thread_alone(small_dataset, small_model,
                                                         monkeypatch):
     triplet_pass = finetune_module._triplet_pass
@@ -550,3 +584,89 @@ def test_split_descriptors_worker_error_reaches_caller(small_dataset, bad_share,
     monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
     with pytest.raises(ShapeError, match=r"\(3, 16, 32\)"):
         split_descriptors(model, small_dataset, "index", "sqp", 3)
+
+
+# ---------------------------------------------------------------------------
+# One pool of workers per finetune call
+# ---------------------------------------------------------------------------
+
+def test_finetune_forks_its_workers_once(small_dataset, small_model, monkeypatch):
+    real_fork, triplet_pass = os.fork, finetune_module._triplet_pass
+    forks, passes = [], []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    def counted_pass(*args):
+        passes.append(os.getpid())
+        return triplet_pass(*args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(finetune_module, "_triplet_pass", counted_pass)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    config = FinetuneConfig(epochs=2, batch_size=8, seed=1)
+    n_train = len(small_dataset.split("train"))
+    assert n_train >= 3 * config.batch_size
+    finetune(small_model, small_dataset, config)
+    assert forks == [os.getpid()]
+    # the caller ran share 0 of every batch; the worker served every share 1
+    shares_0 = sum(len(range(start, min(start + 8, n_train))) // 2
+                   for start in range(0, n_train, config.batch_size))
+    assert passes == [os.getpid()] * shares_0 * config.epochs
+
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+@pytest.mark.parametrize("mining", ["random", "hard"])
+def test_finetune_bitwise_equal_for_every_worker_count(small_dataset, pooling, mining,
+                                                       monkeypatch):
+    model = channel_structured_model()
+    config = FinetuneConfig(epochs=2, batch_size=8, seed=2, pooling=pooling, mining=mining,
+                            hard_pool_size=8)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
+        runs.append(finetune(model, small_dataset, config))
+    (ref, ref_log), others = runs[0], runs[1:]
+    assert ref_log[-1]["active_fraction"] > 0.0
+    for tuned, log in others:
+        assert [(e["mean_loss"], e["active_fraction"]) for e in log] == \
+            [(e["mean_loss"], e["active_fraction"]) for e in ref_log]
+        for (_, layer), (_, want) in zip(tuned.conv_layers(), ref.conv_layers()):
+            assert np.array_equal(layer.weights, want.weights)
+            assert np.array_equal(layer.bias, want.bias)
+
+
+def test_finetune_nan_image_in_share_1_raises_as_one_worker_does(small_dataset, monkeypatch):
+    config = FinetuneConfig(epochs=1, batch_size=8, seed=4)
+    batch = sample_triplets(small_dataset, len(small_dataset.split("train")),
+                            seed=[config.seed, 0])[:config.batch_size]
+    in_share_0 = {i for t in batch[:4] for i in (t.query, t.positive, t.negative)}
+    bad = next(i for t in batch[4:] for i in (t.query, t.positive, t.negative)
+               if i not in in_share_0)
+    load = small_dataset.load_image
+    monkeypatch.setattr(small_dataset, "load_image",
+                        lambda i: np.full_like(load(i), np.nan) if i == bad else load(i))
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0, batch "
+                                                   "starting at triplet 0") as err:
+            finetune(channel_structured_model(), small_dataset, config)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_finetune_worker_that_dies_raises_in_caller(small_dataset, small_model, monkeypatch):
+    caller = os.getpid()
+    triplet_pass = finetune_module._triplet_pass
+
+    def die_in_worker(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return triplet_pass(*args)
+
+    monkeypatch.setattr(finetune_module, "_triplet_pass", die_in_worker)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    with pytest.raises(RuntimeError, match="exited without its results"):
+        finetune(small_model, small_dataset, FinetuneConfig(epochs=1, batch_size=8))
