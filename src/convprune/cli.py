@@ -43,7 +43,6 @@ class ExperimentConfig:
     learning_rate: float = FinetuneConfig.learning_rate
     batch_size: int = FinetuneConfig.batch_size
     mining: str = FinetuneConfig.mining
-    rmac_levels: int = FinetuneConfig.rmac_levels
     seed: int = FinetuneConfig.seed
     stats_images: int = 256   # samples for h3/h4 activation statistics
     h2_triplets: int = 64     # triplet batch for h2 salience
@@ -98,15 +97,14 @@ def _descriptor_index(dataset, descriptors: dict) -> retrieval.DescriptorIndex:
     return retrieval.DescriptorIndex(entries=entries)
 
 
-def evaluate_model(model, dataset, pooling: str, rmac_levels: int = FinetuneConfig.rmac_levels,
+def evaluate_model(model, dataset, pooling: str,
                    save_index_to: str | Path | None = None) -> retrieval.EvalResult:
     """Index the "index" split, query the "query" split, score mAP / recall@4."""
-    index = _descriptor_index(dataset, split_descriptors(model, dataset, "index", pooling,
-                                                         rmac_levels))
+    index = _descriptor_index(dataset, split_descriptors(model, dataset, "index", pooling))
     if save_index_to is not None:
         index.save(save_index_to)
     queries = [(iid, desc, set(dataset.relevant[iid])) for iid, desc in
-               split_descriptors(model, dataset, "query", pooling, rmac_levels).items()]
+               split_descriptors(model, dataset, "query", pooling).items()]
     return retrieval.evaluate(index, queries)
 
 
@@ -118,16 +116,18 @@ def _activation_stats(model, dataset, cfg: ExperimentConfig) -> salience.Activat
 
 
 def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
-                  stats: salience.ActivationStats | None = None):
-    # gathers the heuristic's inputs; `salience.compute_salience` dispatches
-    if stats is None and heuristic in ("h3", "h4"):
-        stats = _activation_stats(model, dataset, cfg)
-    triplets = None
+                  stats: salience.ActivationStats | None = None) -> salience.SalienceMap:
+    """The one salience dispatcher: gathers h2's triplets, or h3/h4's `stats` unless
+    given, and calls `salience.salience_h*` on the module, where perfbench patches it."""
+    if heuristic == "h1":
+        return salience.salience_h1(model)
     if heuristic == "h2":
         triplets = sample_triplets(dataset, cfg.h2_triplets, mode="random", seed=[cfg.seed, 997])
-    return salience.compute_salience(heuristic, model, stats=stats, triplets=triplets,
-                                     dataset=dataset, pooling=pooling, margin=cfg.margin,
-                                     rmac_levels=cfg.rmac_levels)
+        return salience.salience_h2(model, triplets, dataset, pooling=pooling, margin=cfg.margin)
+    if heuristic in ("h3", "h4"):
+        stats = stats if stats is not None else _activation_stats(model, dataset, cfg)
+        return (salience.salience_h3 if heuristic == "h3" else salience.salience_h4)(model, stats)
+    raise ValueError(f"unknown heuristic {heuristic!r} (expected one of {salience.HEURISTICS})")
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +140,17 @@ def _training_config(args) -> FinetuneConfig:
                           mining=args.mining, pooling=args.pooling)
 
 
+def _shape(text: str) -> tuple[int, int, int]:
+    """The argparse type of `gen-dataset --shape`: CxHxW, three positive integers."""
+    dims = text.split("x")
+    if len(dims) != 3 or not all(d.isdecimal() and int(d) > 0 for d in dims):
+        raise argparse.ArgumentTypeError(f"expected CxHxW, three positive integers, got {text!r}")
+    return tuple(int(d) for d in dims)
+
+
 def cmd_gen_dataset(args) -> int:
-    shape = tuple(int(d) for d in args.shape.split("x"))
     ds.generate_dataset(args.out, instances=args.instances,
-                        images_per_instance=args.images, shape=shape, seed=args.seed)
+                        images_per_instance=args.images, shape=args.shape, seed=args.seed)
     print(f"dataset written to {args.out}")
     return 0
 
@@ -195,7 +202,7 @@ def cmd_finetune(args) -> int:
 def cmd_extract(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
-    descs = split_descriptors(model, dataset, args.split, args.pooling, args.rmac_levels)
+    descs = split_descriptors(model, dataset, args.split, args.pooling)
     out = Path(args.out)
     _descriptor_index(dataset, descs).save(out)
     print(f"extracted {len(descs)} {args.pooling} descriptors to {out}")
@@ -205,7 +212,7 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
-    result = evaluate_model(model, dataset, args.pooling, args.rmac_levels)
+    result = evaluate_model(model, dataset, args.pooling)
     container.write_atomic(args.out, result.to_json().encode())
     if args.csv:
         result.write_csv(args.csv)
@@ -290,14 +297,14 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                     pruned, report = pruner.apply_pruning(baseline, smap, keep)
                     report.write_json(out / "reports" / f"prune_{tag}.json")
                     report.write_csv(out / "reports" / f"prune_{tag}.csv")
-                    before = evaluate_model(pruned, dataset, pooling, cfg.rmac_levels)
+                    before = evaluate_model(pruned, dataset, pooling)
                     write_row(_row(heuristic, keep, pooling, "pruned", before))
                     log_event(stage="pruned", point=tag, map=before.mean_ap)
 
                     ft_cfg = cfg.finetune_config(pooling)
                     tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
                     net.save_model(tuned, str(out / "models" / tag))
-                    after = evaluate_model(tuned, dataset, pooling, cfg.rmac_levels,
+                    after = evaluate_model(tuned, dataset, pooling,
                                            save_index_to=out / "descriptors" / tag)
                     write_row(_row(heuristic, keep, pooling, "finetuned", after))
                     log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs,
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--instances", type=int, default=40)
     p.add_argument("--images", type=int, default=8)
-    p.add_argument("--shape", default="3x32x32")
+    p.add_argument("--shape", type=_shape, default="3x32x32")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gen_dataset)
 
@@ -395,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=["train", "index", "query"], default="index")
     p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
-    p.add_argument("--rmac-levels", type=int, default=FinetuneConfig.rmac_levels)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("evaluate", help="score retrieval quality of a model")
@@ -404,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="eval result JSON")
     p.add_argument("--csv", default="", help="also write per-query CSV here")
     p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
-    p.add_argument("--rmac-levels", type=int, default=FinetuneConfig.rmac_levels)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("report", help="render a report JSON (prune/eval) to CSV")

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import write_atomic
+
 CPTN_MAGIC = b"CPTN"
 CPTN_VERSION = 1
 # magic(4) + version(u16) + rank(u16) + four u32 dims, unused dims zero
@@ -44,7 +46,7 @@ def save_tensor(arr: np.ndarray, path: str | Path) -> None:
         raise ValueError(f"tensor rank must be 1-4, got {arr.ndim}")
     dims = list(arr.shape) + [0] * (4 - arr.ndim)
     header = _CPTN_HEADER.pack(CPTN_MAGIC, CPTN_VERSION, arr.ndim, *dims)
-    Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_atomic(path, header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -323,5 +325,5 @@ def generate_dataset(out_dir: str | Path, instances: int = 40, images_per_instan
         "items": items,
         "relevant": relevant,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2).encode())
     return RetrievalDataset(out_dir, manifest)

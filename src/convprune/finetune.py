@@ -47,17 +47,11 @@ class FinetuneConfig:
     seed: int = 0
     mining: str = "random"        # one of MINING_MODES
     pooling: str = "sqp"          # one of POOLING_KINDS
-    rmac_levels: int = 3
-    hard_pool_size: int = 32
 
     def __post_init__(self):
-        if not self.margin > 0:  # also rejects NaN
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be finite and positive, "
-                             f"got {self.learning_rate}")
-        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0),
-                              ("rmac_levels", 1), ("hard_pool_size", 1)):
+        for name in ("margin", "learning_rate"):
+            require_positive_real(self, name)
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             require_int(self, name, minimum)
         if self.mining not in MINING_MODES:
             raise ValueError(f"unknown mining mode {self.mining!r}")
@@ -72,6 +66,14 @@ def require_int(config, name: str, minimum: int) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name.replace('_', ' ')} must be an integer >= {minimum}, "
                          f"got {value!r}")
+
+
+def require_positive_real(config, name: str) -> None:
+    """ValueError unless the field `name` of `config` is a finite real (not a bool) > 0."""
+    value = getattr(config, name)
+    if (not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool)
+            or not 0 < value < np.inf):  # the comparisons also reject NaN
+        raise ValueError(f"{name.replace('_', ' ')} must be a finite number > 0, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -122,25 +124,22 @@ register_backward("triplet_hinge", _hinge_backward)
 # ---------------------------------------------------------------------------
 
 def sample_triplets(dataset: RetrievalDataset, count: int, mode: str = "random",
-                    seed: int | list[int] = 0, split: str = "train",
-                    descriptors: dict[str, Descriptor] | None = None,
+                    seed: int | list[int] = 0, descriptors: dict[str, Descriptor] | None = None,
                     pool_size: int = 32) -> list[Triplet]:
-    """Draw (query, positive, negative) id triples from a dataset split.
+    """Draw (query, positive, negative) id triples from the "train" split.
 
     Random mode picks everything uniformly; hard mode picks the negative as
     the most query-similar wrong-instance item among a random candidate pool
     of `pool_size`, using the caller-supplied `descriptors`.
     """
-    items = dataset.split(split)
+    items = dataset.split("train")
     by_label: dict[int, list[str]] = {}
     for it in items:
         by_label.setdefault(it.label, []).append(it.item_id)
     if len(by_label) < 2:
-        raise ValueError(f"triplet sampling needs >= 2 instances in split {split!r}, "
-                         f"found {len(by_label)}")
+        raise ValueError(f"triplet sampling needs >= 2 instances in train, found {len(by_label)}")
     if not any(len(ids) >= 2 for ids in by_label.values()):
-        raise ValueError(f"no instance in split {split!r} has two images; "
-                         "cannot form a positive pair")
+        raise ValueError("no training instance has two images; cannot form a positive pair")
     if mode == "hard" and descriptors is None:
         raise ValueError("hard mining needs current descriptors")
     all_ids = [it.item_id for it in items]
@@ -170,19 +169,18 @@ def sample_triplets(dataset: RetrievalDataset, count: int, mode: str = "random",
 # ---------------------------------------------------------------------------
 
 def descriptor_of(model: NetworkModel, image: np.ndarray, pooling: str,
-                  rmac_levels: int = 3,
                   tape: GradientTape | None = None) -> Descriptor | list[Descriptor]:
     """The descriptor of a [C,H,W] image, or the list of descriptors of an
     image-major [N,C,H,W] stack, which runs the network once for all N."""
     feats = forward_features(model, image, tape=tape)
     if feats.ndim == 3:
-        return pool_features(feats, pooling, levels=rmac_levels, tape=tape)
-    return [pool_features(stack_item(feats, n, tape), pooling, levels=rmac_levels, tape=tape)
+        return pool_features(feats, pooling, tape=tape)
+    return [pool_features(stack_item(feats, n, tape), pooling, tape=tape)
             for n in range(len(feats))]
 
 
 def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str,
-                      pooling: str, rmac_levels: int) -> dict[str, Descriptor]:
+                      pooling: str) -> dict[str, Descriptor]:
     """{item id: descriptor} for every item of `split`, in split order.
 
     Runs the compact network `model`'s masks leave. The calling process loads
@@ -191,7 +189,7 @@ def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str
     model = compact_model(model)[0]
     ids = [it.item_id for it in dataset.split(split)]
     images = [dataset.load_image(i) for i in ids]
-    descriptors = _forked_map(lambda k: descriptor_of(model, images[k], pooling, rmac_levels),
+    descriptors = _forked_map(lambda k: descriptor_of(model, images[k], pooling),
                               range(len(images)))
     return dict(zip(ids, list(descriptors)))
 
@@ -346,7 +344,7 @@ def _workers(n: int) -> int:
 
 
 def _triplet_pass(model: NetworkModel, dataset: RetrievalDataset, triplet: Triplet,
-                  pooling: str, margin: float, rmac_levels: int) -> tuple[float, list | None]:
+                  pooling: str, margin: float) -> tuple[float, list | None]:
     """One triplet on its own tape: one forward of the [3,C,H,W] stack of its
     query, positive and negative images (a tape constant) and, if the hinge
     is active, one backward. Returns (loss, per conv layer (weight grad,
@@ -354,7 +352,7 @@ def _triplet_pass(model: NetworkModel, dataset: RetrievalDataset, triplet: Tripl
     stack = np.stack([dataset.load_image(i)
                       for i in (triplet.query, triplet.positive, triplet.negative)])
     tape = GradientTape(constants=(stack,))
-    dq, dp, dn = descriptor_of(model, stack, pooling, rmac_levels, tape=tape)
+    dq, dp, dn = descriptor_of(model, stack, pooling, tape=tape)
     loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
     loss_value = float(loss)
     if loss_value == 0.0 or not np.isfinite(loss_value):
@@ -365,7 +363,7 @@ def _triplet_pass(model: NetworkModel, dataset: RetrievalDataset, triplet: Tripl
 
 
 def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, pooling: str,
-                      margin: float, rmac_levels: int = 3, where: str = "",
+                      margin: float, where: str = "",
                       workers: _Workers | None = None) -> tuple[dict, float, int]:
     """Per triplet: one tape forward of its three images, stacked (a tape
     constant), and, if the hinge is active, one backward. Returns ({conv
@@ -381,7 +379,7 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
     triplets = list(triplets)
     results = workers.map(triplets) if workers is not None else _forked_map(
-        lambda t: _triplet_pass(model, dataset, t, pooling, margin, rmac_levels), triplets)
+        lambda t: _triplet_pass(model, dataset, t, pooling, margin), triplets)
     loss_sum = 0.0
     active = 0
     try:
@@ -408,8 +406,7 @@ def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: Retrieval
     """One in-place SGD step along the mean triplet gradient; masked weights
     are projected back to exactly zero. Returns (summed loss, active count)."""
     grads, loss_sum, active = triplet_gradients(model, batch, dataset, config.pooling,
-                                                config.margin, config.rmac_levels, where,
-                                                workers)
+                                                config.margin, where, workers)
     scale = config.learning_rate / len(batch)
     for idx, layer in model.conv_layers():
         gw, gb = grads[idx]
@@ -454,18 +451,16 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
         _share_weights(model)
         for it in dataset.split("train"):
             dataset.load_image(it.item_id)
-    workers = _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin,
-                                               config.rmac_levels), n_workers)
+    workers = _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin),
+                       n_workers)
     try:
         for epoch in range(config.epochs):
             t_start = time.perf_counter()
             descriptors = None
             if config.mining == "hard":
-                descriptors = split_descriptors(model, dataset, "train", config.pooling,
-                                                config.rmac_levels)
+                descriptors = split_descriptors(model, dataset, "train", config.pooling)
             triplets = sample_triplets(dataset, triplets_per_epoch, mode=config.mining,
-                                       seed=[config.seed, epoch], descriptors=descriptors,
-                                       pool_size=config.hard_pool_size)
+                                       seed=[config.seed, epoch], descriptors=descriptors)
             loss_sum = 0.0
             active = 0
             for start in range(0, len(triplets), config.batch_size):

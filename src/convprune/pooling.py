@@ -177,17 +177,17 @@ register_backward("rmac_pool", _rmac_backward)
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_grid(width: int, height: int, levels: int) -> RoiGrid:
-    return rmac_grid(width, height, levels)
+def _cached_grid(width: int, height: int) -> RoiGrid:
+    return rmac_grid(width, height)
 
 
-def pool_features(features: np.ndarray, kind: str, levels: int = 3,
+def pool_features(features: np.ndarray, kind: str,
                   tape: GradientTape | None = None) -> Descriptor:
-    """Dispatch to sqp_pool / rmac_pool by kind name."""
+    """Dispatch to sqp_pool / rmac_pool (three-level grid) by kind name."""
     if kind == "sqp":
         return sqp_pool(features, tape=tape)
     if kind == "rmac":
-        grid = _cached_grid(features.shape[2], features.shape[1], levels)
+        grid = _cached_grid(features.shape[2], features.shape[1])
         return rmac_pool(features, grid, tape=tape)
     raise ValueError(f"unknown pooling kind {kind!r}")
 

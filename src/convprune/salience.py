@@ -30,8 +30,8 @@ HEURISTICS = ("h1", "h2", "h3", "h4")
 
 
 class _MomentAccumulator:
-    """Streaming per-channel moments with a pairwise-mergeable (order
-    independent) update, so stats can fan out over images."""
+    """Streaming per-channel moments, folded in one activation tensor at a
+    time with the pairwise (Chan et al.) update."""
 
     def __init__(self, channels: int):
         self.count = 0                       # positions seen (samples x H x W)
@@ -47,9 +47,6 @@ class _MomentAccumulator:
         m2_b = ((flat - mean_b[:, None]) ** 2).sum(axis=1)
         abs_b = np.abs(flat).mean(axis=1)
         self._merge(n_b, mean_b, m2_b, abs_b)
-
-    def merge(self, other: "_MomentAccumulator") -> None:
-        self._merge(other.count, other.mean, other.m2, other.abs_mean)
 
     def _merge(self, n_b, mean_b, m2_b, abs_b) -> None:
         if n_b == 0:
@@ -132,8 +129,7 @@ def salience_h1(model: NetworkModel) -> SalienceMap:
     return SalienceMap(heuristic="h1", scores=scores)
 
 
-def _stats_for_layer(model: NetworkModel, stats: ActivationStats, idx: int,
-                     layer_weights: np.ndarray) -> LayerStats:
+def _stats_for_layer(stats: ActivationStats, idx: int, layer_weights: np.ndarray) -> LayerStats:
     ls = stats.layers.get(idx)
     if ls is None:
         raise ShapeError(f"activation stats missing conv layer {idx}")
@@ -147,7 +143,7 @@ def salience_h3(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
     """Mean absolute input activation times weight magnitude."""
     scores = {}
     for idx, layer in model.conv_layers():
-        ls = _stats_for_layer(model, stats, idx, layer.weights)
+        ls = _stats_for_layer(stats, idx, layer.weights)
         scores[idx] = ls.mean_abs[None, :, None, None] * np.abs(layer.weights) * layer.mask
     return SalienceMap(heuristic="h3", scores=scores,
                        fingerprint={"dataset": stats.fingerprint, "samples": stats.sample_count})
@@ -157,14 +153,14 @@ def salience_h4(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
     """Input activation variance times squared weight."""
     scores = {}
     for idx, layer in model.conv_layers():
-        ls = _stats_for_layer(model, stats, idx, layer.weights)
+        ls = _stats_for_layer(stats, idx, layer.weights)
         scores[idx] = ls.variance[None, :, None, None] * layer.weights ** 2 * layer.mask
     return SalienceMap(heuristic="h4", scores=scores,
                        fingerprint={"dataset": stats.fingerprint, "samples": stats.sample_count})
 
 
 def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
-                pooling: str = "sqp", margin: float = 0.1, rmac_levels: int = 3) -> SalienceMap:
+                pooling: str = "sqp", margin: float = 0.1) -> SalienceMap:
     """First-order estimate of each edge's effect on the ranking loss.
 
     Runs every triplet through the descriptor pipeline and the hinge loss,
@@ -174,7 +170,7 @@ def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
     triplets = list(triplets)
     if not triplets:
         raise ValueError("h2 needs a nonempty triplet batch")
-    grads, _, active = triplet_gradients(model, triplets, dataset, pooling, margin, rmac_levels)
+    grads, _, active = triplet_gradients(model, triplets, dataset, pooling, margin)
     if not active:
         warnings.warn("every triplet in the batch has an inactive hinge; "
                       "h2 salience is legitimately all zero", RuntimeWarning, stacklevel=2)
@@ -184,23 +180,3 @@ def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
         scores[idx] = np.abs(mean_grad * layer.weights) * layer.mask
     return SalienceMap(heuristic="h2", scores=scores,
                        fingerprint={"dataset": dataset.fingerprint, "samples": len(triplets)})
-
-
-def compute_salience(heuristic: str, model: NetworkModel, *,
-                     stats: ActivationStats | None = None,
-                     triplets=None, dataset: RetrievalDataset | None = None,
-                     pooling: str = "sqp", margin: float = 0.1,
-                     rmac_levels: int = 3) -> SalienceMap:
-    """Dispatch by heuristic id, checking that the needed inputs are present."""
-    if heuristic == "h1":
-        return salience_h1(model)
-    if heuristic == "h2":
-        if triplets is None or dataset is None:
-            raise ValueError("h2 needs triplets and a dataset")
-        return salience_h2(model, triplets, dataset, pooling=pooling, margin=margin,
-                           rmac_levels=rmac_levels)
-    if heuristic in ("h3", "h4"):
-        if stats is None:
-            raise ValueError(f"{heuristic} needs activation statistics")
-        return (salience_h3 if heuristic == "h3" else salience_h4)(model, stats)
-    raise ValueError(f"unknown heuristic {heuristic!r} (expected one of {HEURISTICS})")

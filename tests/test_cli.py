@@ -2,8 +2,10 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
 from convprune.container import BLOB_NAME, MANIFEST_NAME, read_container
-from convprune.dataset import RetrievalDataset
+from convprune.dataset import RetrievalDataset, save_tensor
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
 from convprune.pooling import POOLING_KINDS
@@ -152,13 +154,19 @@ def test_evaluate_planted_duplicates_map_one(tmp_path):
     assert result.mean_ap == 1.0
 
 
-def test_usage_error_exit_code_2():
+def test_usage_error_exit_code_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["prune", "--bogus-flag"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    for shape in ("3x32", "3x32x32x1", "3xax32", "3x0x32"):  # a malformed shape is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-dataset", "--out", str(tmp_path / "bad"), "--shape", shape])
+        assert exc.value.code == 2
+        assert "--shape" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_runtime_error_exit_code_1(tmp_path):
@@ -174,19 +182,22 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
     dataset = RetrievalDataset.load(workspace / "data")
     cfg = ExperimentConfig(seed=3, h2_triplets=8, stats_images=16)
     calls = []
-    dispatch = salience.compute_salience
-    monkeypatch.setattr(salience, "compute_salience",
-                        lambda h, m, **kw: calls.append((h, kw)) or dispatch(h, m, **kw))
+    for h in salience.HEURISTICS:  # patched on the module, as perfbench's tracer does
+        score = getattr(salience, f"salience_{h}")
+        monkeypatch.setattr(salience, f"salience_{h}", lambda *a, _f=score, **kw:
+                            calls.append((a, kw)) or _f(*a, **kw))
     maps = {h: cli._salience_for(h, model, dataset, cfg, "rmac") for h in salience.HEURISTICS}
-    assert [h for h, _ in calls] == list(salience.HEURISTICS)
-    kwargs = dict(calls)
-    assert kwargs["h1"]["stats"] is None and kwargs["h2"]["stats"] is None
-    assert kwargs["h3"]["stats"].sample_count == 16
-    assert kwargs["h2"]["triplets"] == sample_triplets(dataset, 8, seed=[3, 997])
-    direct = salience.salience_h2(model, kwargs["h2"]["triplets"], dataset, pooling="rmac",
-                                  margin=cfg.margin, rmac_levels=cfg.rmac_levels)
-    for idx, scores in direct.scores.items():
-        assert np.array_equal(maps["h2"].scores[idx], scores)
+    assert [m.heuristic for m in maps.values()] == list(salience.HEURISTICS)
+    (h1_args, _), (h2_args, h2_kwargs), (h3_args, _), (h4_args, _) = calls
+    assert h1_args == (model,)
+    assert h2_args == (model, sample_triplets(dataset, 8, seed=[3, 997]), dataset)
+    assert h2_kwargs == {"pooling": "rmac", "margin": cfg.margin}
+    assert h3_args[1].sample_count == 16 and h4_args[1].sample_count == 16
+    given = h3_args[1]
+    cli._salience_for("h4", model, dataset, cfg, "rmac", given)
+    assert calls[-1][0][1] is given  # statistics passed in are used, not gathered again
+    with pytest.raises(ValueError, match="unknown heuristic"):
+        cli._salience_for("h9", model, dataset, cfg, "rmac")
 
 
 def test_extract_writes_the_index_evaluate_saves(workspace, tmp_path):
@@ -207,7 +218,7 @@ def test_split_descriptors_keep_split_order(workspace):
     from convprune.finetune import split_descriptors
     model = load_model(str(workspace / "baseline"))
     dataset = RetrievalDataset.load(workspace / "data")
-    descs = split_descriptors(model, dataset, "query", "sqp", rmac_levels=3)
+    descs = split_descriptors(model, dataset, "query", "sqp")
     assert list(descs) == [it.item_id for it in dataset.split("query")]
 
 
@@ -278,6 +289,7 @@ ATOMIC_WRITERS = {
     "finetune-log": lambda ws, path: main([
         "finetune", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
         "--out", str(path.parent.parent / "tuned"), "--epochs", "1", "--log", str(path)]),
+    "cptn": lambda ws, path: save_tensor(np.zeros((2, 3)), path),
 }
 
 
@@ -310,7 +322,8 @@ def test_report_writers_replace_atomically(writer, workspace, tmp_path, monkeypa
 
 @pytest.mark.parametrize("bad", [{"epochs": 0}, {"margin": 0.0}, {"batch_size": 0},
                                  {"mining": "bogus"}, {"learning_rate": -0.2},
-                                 {"rmac_levels": 0}])
+                                 {"margin": float("inf")}, {"margin": True}, {"margin": "0.1"},
+                                 {"learning_rate": True}])
 def test_experiment_config_rejects_bad_finetune_settings(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
@@ -320,8 +333,14 @@ def test_experiment_config_rejects_bad_finetune_settings(bad, tmp_path):
         ExperimentConfig.from_file(str(cfg_path), {})
 
 
+def test_readme_lists_every_experiment_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"an `ExperimentConfig`: keys(.*?)\)", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
 @pytest.mark.parametrize("bad", [
-    {"epochs": 2.5}, {"rmac_levels": 2.5}, {"batch_size": 1.5}, {"seed": 1.5},
+    {"epochs": 2.5}, {"batch_size": 1.5}, {"seed": 1.5},
     {"epochs": True}, {"seed": -1}, {"h2_triplets": 0}, {"stats_images": 0},
     {"h2_triplets": 2.0}, {"heuristics": []}, {"keep_fractions": []}, {"poolings": []},
     {"keep_fractions": [True]}, {"heuristics": "h1"},
@@ -360,7 +379,8 @@ def test_pipeline_rows_and_t1_consistency(workspace):
                            epochs=1, seed=3, data=str(workspace / "data"),
                            model=str(workspace / "baseline"), out=str(out))
     run_pipeline(cfg)
-    rows = list(csv.DictReader((out / "metrics.csv").open()))
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1 * 2 * 1 * 2  # heuristics x fractions x poolings x phases
     assert {r["phase"] for r in rows} == {"pruned", "finetuned"}
     # the t=1 pruned row equals a standalone evaluation of the baseline

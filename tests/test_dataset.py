@@ -1,6 +1,7 @@
 """Synthetic dataset generation, tensor formats, manifest invariants."""
 
 import json
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -159,6 +160,25 @@ def test_fingerprint_tracks_content(tmp_path):
     assert a.fingerprint != b.fingerprint
     reloaded = RetrievalDataset.load(tmp_path / "x")
     assert reloaded.fingerprint == a.fingerprint
+
+
+def test_generate_renames_the_manifest_into_place_last(tmp_path, monkeypatch):
+    real_replace = os.replace
+    targets = []
+
+    def failing_replace(src, dst):
+        targets.append(Path(dst).name)
+        if Path(dst).name == "manifest.json":
+            raise OSError("rename failed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        generate_dataset(tmp_path / "d", instances=2, images_per_instance=2, seed=0)
+    assert targets == [f"i{i:03d}_v{v}.cptn" for i in range(2) for v in range(2)] + ["manifest.json"]
+    # no manifest and no temp file; every image file is complete under its own name
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["tensors"]
+    assert sorted(p.name for p in (tmp_path / "d" / "tensors").iterdir()) == targets[:-1]
 
 
 # ---------------------------------------------------------------------------

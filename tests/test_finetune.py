@@ -239,15 +239,16 @@ def test_non_finite_loss_aborts_with_diagnostic(small_dataset, small_arch):
 
 def test_hard_mining_epoch_runs(small_dataset, small_arch):
     model = init_network(small_arch, seed=7)
-    cfg = FinetuneConfig(epochs=1, seed=0, mining="hard", hard_pool_size=8)
+    cfg = FinetuneConfig(epochs=1, seed=0, mining="hard")
     tuned, log = finetune(model, small_dataset, cfg)
     assert len(log) == 1
 
 
 @pytest.mark.parametrize("bad", [{"margin": float("nan")}, {"pooling": "bogus"},
-                                 {"rmac_levels": 0}, {"learning_rate": -0.2},
-                                 {"learning_rate": 0.0}, {"learning_rate": float("nan")},
-                                 {"learning_rate": float("inf")}, {"hard_pool_size": 0}])
+                                 {"learning_rate": -0.2}, {"learning_rate": 0.0},
+                                 {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                                 {"margin": float("inf")}, {"margin": True}, {"margin": "0.1"},
+                                 {"learning_rate": True}])
 def test_config_rejects_invalid_settings(bad):
     # each of these used to pass construction and fail, or train wrongly, later
     (field,) = bad
@@ -255,8 +256,8 @@ def test_config_rejects_invalid_settings(bad):
         FinetuneConfig(**bad)
 
 
-@pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"rmac_levels": 2.5}, {"batch_size": 1.5},
-                                 {"hard_pool_size": 2.5}, {"seed": 1.5}, {"epochs": True},
+@pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"batch_size": 1.5},
+                                 {"seed": 1.5}, {"epochs": True},
                                  {"batch_size": "16"}, {"seed": -1}])
 def test_config_rejects_non_integer_counts(bad):
     # each of these used to pass construction and fail with a TypeError later
@@ -566,7 +567,7 @@ def test_split_descriptors_bitwise_serial_for_every_worker_count(small_dataset, 
               for it in items]
     for workers in (1, 2, 3):
         monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
-        descs = split_descriptors(model, small_dataset, "index", pooling, 3)
+        descs = split_descriptors(model, small_dataset, "index", pooling)
         assert list(descs) == [it.item_id for it in items]
         for got, want in zip(descs.values(), serial):
             assert np.array_equal(got.values, want.values)
@@ -583,7 +584,7 @@ def test_split_descriptors_worker_error_reaches_caller(small_dataset, bad_share,
                         lambda i: load(i)[:, :16] if i == bad else load(i))
     monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
     with pytest.raises(ShapeError, match=r"\(3, 16, 32\)"):
-        split_descriptors(model, small_dataset, "index", "sqp", 3)
+        split_descriptors(model, small_dataset, "index", "sqp")
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +622,7 @@ def test_finetune_forks_its_workers_once(small_dataset, small_model, monkeypatch
 def test_finetune_bitwise_equal_for_every_worker_count(small_dataset, pooling, mining,
                                                        monkeypatch):
     model = channel_structured_model()
-    config = FinetuneConfig(epochs=2, batch_size=8, seed=2, pooling=pooling, mining=mining,
-                            hard_pool_size=8)
+    config = FinetuneConfig(epochs=2, batch_size=8, seed=2, pooling=pooling, mining=mining)
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)

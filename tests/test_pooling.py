@@ -253,8 +253,8 @@ def test_pool_features_reuses_grid_per_shape():
     rng = np.random.default_rng(9)
     for shape in [(3, 4, 4), (3, 6, 5), (3, 4, 4)]:
         x = rng.standard_normal(shape)
-        grid = rmac_grid(shape[2], shape[1], 2)
-        assert np.array_equal(pool_features(x, "rmac", levels=2).values,
+        grid = rmac_grid(shape[2], shape[1])
+        assert np.array_equal(pool_features(x, "rmac").values,
                               rmac_pool(x, grid).values)
 
 

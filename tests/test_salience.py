@@ -6,9 +6,8 @@ import pytest
 from convprune.finetune import Triplet, triplet_loss
 from convprune.network import forward_features, init_network
 from convprune.pooling import sqp_pool
-from convprune.salience import (ActivationStats, LayerStats, _MomentAccumulator,
-                                collect_activation_stats, compute_salience, salience_h1,
-                                salience_h2, salience_h3, salience_h4)
+from convprune.salience import (ActivationStats, LayerStats, collect_activation_stats,
+                                salience_h1, salience_h2, salience_h3, salience_h4)
 from convprune.tensor import ShapeError
 
 from util import ArrayDataset
@@ -63,24 +62,6 @@ def test_stats_streaming_equals_one_shot():
         allv = np.concatenate([a.reshape(a.shape[0], -1) for a in acts], axis=1)
         assert np.abs(stats.layers[idx].mean_abs - np.abs(allv).mean(axis=1)).max() < 1e-10
         assert np.abs(stats.layers[idx].variance - allv.var(axis=1)).max() < 1e-10
-
-
-def test_moment_accumulator_merge_order_independent():
-    rng = np.random.default_rng(1)
-    chunks = [rng.standard_normal((3, 4, 4)) for _ in range(4)]
-    left = _MomentAccumulator(3)
-    for c in chunks[:2]:
-        left.update(c)
-    right = _MomentAccumulator(3)
-    for c in chunks[2:]:
-        right.update(c)
-    left.merge(right)
-    flat = _MomentAccumulator(3)
-    for c in chunks:
-        flat.update(c)
-    assert np.abs(left.mean - flat.mean).max() < 1e-12
-    assert np.abs(left.variance - flat.variance).max() < 1e-12
-    assert np.abs(left.abs_mean - flat.abs_mean).max() < 1e-12
 
 
 def test_stats_reject_empty_sequence():
@@ -266,13 +247,3 @@ def test_h2_requires_triplets():
     with pytest.raises(ValueError, match="nonempty"):
         salience_h2(model, [], dataset)
 
-
-def test_compute_salience_dispatch_and_validation():
-    model, dataset, triplets = micro_setup()
-    assert compute_salience("h1", model).heuristic == "h1"
-    smap = compute_salience("h2", model, triplets=triplets, dataset=dataset)
-    assert smap.fingerprint["samples"] == len(triplets)
-    with pytest.raises(ValueError, match="needs"):
-        compute_salience("h3", model)
-    with pytest.raises(ValueError, match="unknown heuristic"):
-        compute_salience("h9", model)

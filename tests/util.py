@@ -99,8 +99,8 @@ class ArrayDataset:
         return self._images[item_id]
 
 
-def reference_triplet_grads(model, triplets, dataset, pooling: str, margin: float,
-                            rmac_levels: int = 3) -> tuple[dict, int]:
+def reference_triplet_grads(model, triplets, dataset, pooling: str,
+                            margin: float) -> tuple[dict, int]:
     """The per-triplet gradient loop as fine-tuning and h2 each ran it before
     they shared `triplet_gradients`: a fresh tape with no constants per
     triplet, inactive hinges skipped, gradients summed by array identity.
@@ -111,9 +111,9 @@ def reference_triplet_grads(model, triplets, dataset, pooling: str, margin: floa
     active = 0
     for t in triplets:
         tape = GradientTape()
-        dq = descriptor_of(model, dataset.load_image(t.query), pooling, rmac_levels, tape=tape)
-        dp = descriptor_of(model, dataset.load_image(t.positive), pooling, rmac_levels, tape=tape)
-        dn = descriptor_of(model, dataset.load_image(t.negative), pooling, rmac_levels, tape=tape)
+        dq = descriptor_of(model, dataset.load_image(t.query), pooling, tape=tape)
+        dp = descriptor_of(model, dataset.load_image(t.positive), pooling, tape=tape)
+        dn = descriptor_of(model, dataset.load_image(t.negative), pooling, tape=tape)
         loss = triplet_loss_op(dq.values, dp.values, dn.values, margin, tape)
         if float(loss) == 0.0:
             continue
