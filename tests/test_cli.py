@@ -340,7 +340,7 @@ def test_readme_lists_every_experiment_config_key():
 
 
 @pytest.mark.parametrize("bad", [
-    {"epochs": 2.5}, {"batch_size": 1.5}, {"seed": 1.5},
+    {"epochs": 2.5}, {"stats_images": "16"}, {"batch_size": 1.5}, {"seed": 1.5},
     {"epochs": True}, {"seed": -1}, {"h2_triplets": 0}, {"stats_images": 0},
     {"h2_triplets": 2.0}, {"heuristics": []}, {"keep_fractions": []}, {"poolings": []},
     {"keep_fractions": [True]}, {"heuristics": "h1"},

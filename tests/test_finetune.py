@@ -256,8 +256,8 @@ def test_config_rejects_invalid_settings(bad):
         FinetuneConfig(**bad)
 
 
-@pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"batch_size": 1.5},
-                                 {"seed": 1.5}, {"epochs": True},
+@pytest.mark.parametrize("bad", [{"epochs": 2.5}, {"epochs": "2"}, {"batch_size": 1.5},
+                                 {"seed": True}, {"seed": 1.5}, {"epochs": True},
                                  {"batch_size": "16"}, {"seed": -1}])
 def test_config_rejects_non_integer_counts(bad):
     # each of these used to pass construction and fail with a TypeError later
