@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternated pairs.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload sweep --workload finetune --pairs 10 --label image_cache
+
+Each pair runs the checkouts' own `perfbench/run.py` (`--trace 0`) once per
+side with the same seed; which side runs first flips every pair. Pair k uses
+seed `--first-seed` + k. Per workload and end-to-end metric of the change's
+`BENCHMARK.json` it prints both medians, the pairs the change won (ties count
+for neither) and the parent's interquartile range.
+
+Runs last `run_seconds` of `BENCHMARK.json`. `BENCH_<label>.json`, in the
+current directory, is rewritten after every pair. It holds the command run,
+each side's commit and source hash, the summary, with both sides' quartiles,
+and, per run, the end-to-end metrics, the output checks and the provenance
+line `perfbench/run.py` printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    p.add_argument("--workload", required=True, action="append",
+                   help="workload to run; repeat for several, run one after the other")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--label", required=True)
+    return p.parse_args(argv)
+
+
+def command(bench: dict, workload: str, seed) -> list[str]:
+    """The benchmark's command for one untraced run."""
+    return bench["command"] + ["--workload", workload, "--seed", str(seed),
+                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+
+
+def run_once(checkout: Path, cmd: list[str]) -> dict:
+    """One run of `cmd` in `checkout`: its provenance line and its result."""
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {out.returncode}:\n"
+                           f"{out.stderr}")
+    result = json.loads(lines[-1])
+    return {**json.loads(lines[-2]), "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric the runs report: each side's quartiles, the
+    change's wins and the parent's interquartile range."""
+    summary = {}
+    for spec in metrics:
+        name = spec["name"]
+        runs = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
+                for p in pairs]
+        runs = [(a, b) for a, b in runs if a is not None and b is not None]
+        if not runs:
+            continue
+        parent, change = [a for a, _ in runs], [b for _, b in runs]
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        pq, cq = quartiles(parent), quartiles(change)
+        summary[name] = {
+            "unit": spec["unit"], "better": spec["better"], "pairs": len(runs),
+            "parent_median": pq[1], "parent_quartiles": [pq[0], pq[2]],
+            "change_median": cq[1], "change_quartiles": [cq[0], cq[2]],
+            "change_wins": sum(sign * (b - a) > 0 for a, b in runs),
+            "parent_iqr": pq[2] - pq[0],
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    out_path = Path(f"BENCH_{args.label}.json")
+    record = {"label": args.label, "command": command(bench, "<workload>", "<seed>"),
+              "checkouts": {}, "workloads": {}}
+    for workload in args.workload:
+        pairs: list[dict] = []
+        entry = record["workloads"][workload] = {"pairs": pairs}
+        for k in range(args.pairs):
+            seed = args.first_seed + k
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "order": list(order)}
+            for side in order:
+                pair[side] = run = run_once(checkouts[side], command(bench, workload, seed))
+                record["checkouts"].setdefault(side, {
+                    k: run["provenance"][k] for k in ("git_commit", "source_sha256")})
+            pairs.append(pair)
+            entry["summary"] = summarize(pairs, bench["end_to_end"])
+            out_path.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"{workload} pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+        print(f"\n{workload}: {len(pairs)} pairs, {bench['run_seconds']:g} s runs")
+        print(f"  {'metric':<20} {'parent median':>14} {'change median':>14} "
+              f"{'wins':>6} {'parent IQR':>11}")
+        for name, s in entry["summary"].items():
+            print(f"  {name:<20} {s['parent_median']:>14.4g} {s['change_median']:>14.4g} "
+                  f"{s['change_wins']:>3}/{s['pairs']:<2} {s['parent_iqr']:>11.4g}")
+        failed = sum(p[side]["failed"] for p in pairs for side in SIDES)
+        print(f"  failed operations: {failed}")
+    print(f"\nwrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

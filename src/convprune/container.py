@@ -89,7 +89,8 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container directory, verifying version, magic, and checksums.
 
     Returns (manifest, tensors) with float tensors widened to float64 and
-    bit-packed tensors unpacked to bool.
+    bit-packed tensors unpacked to bool. A file that cannot be read raises
+    ContainerError.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -100,13 +101,18 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(manifest_path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IntegrityError(f"manifest in {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ContainerError(f"cannot read {manifest_path}: {exc.strerror or exc}") from exc
     if not isinstance(manifest, dict):
         raise IntegrityError(f"manifest in {path} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"container {path} has format version {version!r}, "
                            f"expected {FORMAT_VERSION}")
-    blob = blob_path.read_bytes()
+    try:
+        blob = blob_path.read_bytes()
+    except OSError as exc:
+        raise ContainerError(f"cannot read {blob_path}: {exc.strerror or exc}") from exc
     if len(blob) < _HEADER.size:
         raise IntegrityError(f"blob in {path} truncated before header")
     magic, blob_version, _ = _HEADER.unpack_from(blob)

@@ -54,11 +54,41 @@ def _read_bytes(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except (FileNotFoundError, IsADirectoryError):
         raise DatasetError(f"missing {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
-    """A CPTN file as a float64 array; DatasetError if it is malformed or
-    holds a non-finite value."""
+    """A CPTN file as a float64 array; DatasetError if it is unreadable,
+    malformed or holds a non-finite value."""
+    return _widen(_read_tensor(path))
+
+
+def load_ppm(path: str | Path) -> np.ndarray:
+    """Binary PPM (P6, maxval 255) to a float64 [3,H,W] tensor scaled to
+    [0,1]; DatasetError if the file is unreadable, the header is malformed
+    or the pixel data is not exactly H*W*3 bytes."""
+    return _widen(_read_ppm(path))
+
+
+def load_image_file(path: str | Path) -> np.ndarray:
+    """An image file as it is stored: the read-only float32 array of a CPTN
+    file, or the read-only uint8 [3,H,W] pixels of a PPM file (suffix
+    `.ppm`). `_widen` turns either into what `load_tensor`/`load_ppm` return."""
+    path = Path(path)
+    if path.suffix == ".ppm":
+        return _read_ppm(path)
+    return _read_tensor(path)
+
+
+def _widen(stored: np.ndarray) -> np.ndarray:
+    """A fresh float64 copy of a stored image; uint8 pixels are scaled to [0,1]."""
+    if stored.dtype == np.uint8:
+        return stored.astype(np.float64) / 255.0
+    return stored.astype(np.float64)
+
+
+def _read_tensor(path: str | Path) -> np.ndarray:
     raw = _read_bytes(path)
     if len(raw) < _CPTN_HEADER.size:
         raise DatasetError(f"{path}: truncated tensor file")
@@ -74,16 +104,13 @@ def load_tensor(path: str | Path) -> np.ndarray:
     payload = raw[_CPTN_HEADER.size:]
     if len(payload) != 4 * count:
         raise DatasetError(f"{path}: payload holds {len(payload)} bytes, expected {4 * count}")
-    arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise DatasetError(f"{path}: non-finite values")
     return arr
 
 
-def load_ppm(path: str | Path) -> np.ndarray:
-    """Binary PPM (P6, maxval 255) to a float64 [3,H,W] tensor scaled to
-    [0,1]; DatasetError if the header is malformed or the pixel data is not
-    exactly H*W*3 bytes."""
+def _read_ppm(path: str | Path) -> np.ndarray:
     raw = _read_bytes(path)
     fields: list[bytes] = []
     pos = 0
@@ -112,14 +139,7 @@ def load_ppm(path: str | Path) -> np.ndarray:
         raise DatasetError(f"{path}: {max(0, len(raw) - pos)} pixel bytes, a {width}x{height} "
                            f"image needs {width * height * 3}")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=pos)
-    return pixels.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
-
-
-def load_image_file(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    if path.suffix == ".ppm":
-        return load_ppm(path)
-    return load_tensor(path)
+    return pixels.reshape(height, width, 3).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +219,10 @@ def _manifest_item(entry) -> DatasetItem:
 
 
 class RetrievalDataset:
-    """Labeled image tensors with query/relevance structure. A malformed
-    manifest, or an image file that is malformed or does not have the
-    manifest's image shape, raises DatasetError."""
+    """Labeled image tensors with query/relevance structure. A missing,
+    unreadable or malformed manifest, or an image file that is missing,
+    unreadable, malformed or not of the manifest's image shape, raises
+    DatasetError."""
 
     def __init__(self, root: Path, manifest: dict):
         self.root = Path(root)
@@ -254,13 +275,27 @@ class RetrievalDataset:
         return self._by_id[item_id].label
 
     def load_image(self, item_id: str) -> np.ndarray:
-        if item_id not in self._cache:
-            arr = load_image_file(self.root / self._by_id[item_id].path)
-            if tuple(arr.shape) != self.image_shape:
-                raise DatasetError(f"item {item_id!r} has shape {arr.shape}, manifest "
+        """A fresh float64 copy of the image, bitwise what `load_tensor` or
+        `load_ppm` returns for its file. The cache holds each image as its
+        file stores it (`load_image_file`), and widens it on every call."""
+        return _widen(self._stored(item_id))
+
+    def fill_cache(self, split: str) -> None:
+        """Read every image of `split` that is not cached yet, so processes
+        forked afterwards find them all in the memory they inherit."""
+        for it in self.split(split):
+            self._stored(it.item_id)
+
+    def _stored(self, item_id: str) -> np.ndarray:
+        """The cached image as its file stores it, read on a miss."""
+        stored = self._cache.get(item_id)
+        if stored is None:
+            stored = load_image_file(self.root / self._by_id[item_id].path)
+            if tuple(stored.shape) != self.image_shape:
+                raise DatasetError(f"item {item_id!r} has shape {stored.shape}, manifest "
                                    f"declares {self.image_shape}")
-            self._cache[item_id] = arr
-        return self._cache[item_id]
+            self._cache[item_id] = stored
+        return stored
 
     @classmethod
     def load(cls, root: str | Path) -> "RetrievalDataset":

@@ -309,3 +309,71 @@ def test_corrupted_dataset_loads_consistently_or_raises(target, truncate, where,
     for qid, rel in loaded.relevant.items():
         assert qid in splits and rel and qid not in rel
         assert all(splits[r] == "index" for r in rel)
+
+
+# ---------------------------------------------------------------------------
+# The image cache: stored precision, widened copies
+# ---------------------------------------------------------------------------
+
+def _dataset_with_ppm(root):
+    ds = _tiny_dataset(root)
+    manifest = ds.manifest
+    manifest["items"][-1]["path"] = "tensors/last.ppm"
+    (root / "tensors" / "last.ppm").write_bytes(_ppm_bytes(ds.load_image(ds.items[-1].item_id)))
+    _write_manifest(root, manifest)
+    return RetrievalDataset.load(root)
+
+
+def test_load_image_hands_out_copies(tmp_path):
+    ds = _dataset_with_ppm(tmp_path)
+    for item in (ds.items[0], ds.items[-1]):
+        first = ds.load_image(item.item_id)
+        kept = first.copy()
+        first[...] = -1.0
+        assert np.array_equal(ds.load_image(item.item_id), kept)
+
+
+def test_cached_images_are_bitwise_the_file_loaders(tmp_path):
+    ds = _dataset_with_ppm(tmp_path)
+    for item in ds.items:
+        path = tmp_path / item.path
+        expected = load_ppm(path) if item.path.endswith(".ppm") else load_tensor(path)
+        for _ in range(2):  # the miss, then the hit
+            img = ds.load_image(item.item_id)
+            assert img.dtype == np.float64 and img.strides == expected.strides
+            assert img.tobytes() == expected.tobytes()
+
+
+def test_cache_holds_stored_precision(tmp_path):
+    ds = _dataset_with_ppm(tmp_path)
+    ds.fill_cache("query")
+    assert set(ds._cache) == {it.item_id for it in ds.split("query")}
+    ds.fill_cache("index")
+    assert set(ds._cache) == {it.item_id for it in ds.items}
+    ppm_id = ds.items[-1].item_id
+    for item_id, stored in ds._cache.items():
+        assert stored.dtype == (np.uint8 if item_id == ppm_id else np.float32)
+        assert stored.shape == ds.image_shape and not stored.flags.writeable
+
+
+@pytest.mark.parametrize("target", ["cptn", "ppm", "manifest"])
+def test_unreadable_files_raise_dataset_error(tmp_path, monkeypatch, target):
+    ds = _dataset_with_ppm(tmp_path)
+    item = {"cptn": ds.items[0], "ppm": ds.items[-1], "manifest": None}[target]
+    name = Path(item.path).name if item else "manifest.json"
+    real_read = Path.read_bytes
+
+    def read(self):
+        if self.name == name:
+            raise PermissionError(13, "Permission denied")
+        return real_read(self)
+    monkeypatch.setattr(Path, "read_bytes", read)
+    message = f"cannot read .*{name}: Permission denied"
+    if item is None:
+        with pytest.raises(DatasetError, match=message):
+            RetrievalDataset.load(tmp_path)
+        return
+    with pytest.raises(DatasetError, match=message):
+        (load_ppm if target == "ppm" else load_tensor)(tmp_path / item.path)
+    with pytest.raises(DatasetError, match=message):
+        ds.load_image(item.item_id)

@@ -16,6 +16,7 @@ from convprune.finetune import descriptor_of
 from convprune.network import (clone_model, compact_model, expand_compact, forward_features,
                                init_network, load_model, save_model, tinynet_architecture,
                                validate_masks)
+from convprune.retrieval import DescriptorIndex
 from convprune.tensor import ShapeError
 
 from util import CHANNEL_PLAN, channel_structured_model, rel_error
@@ -440,3 +441,24 @@ def test_container_write_failing_midway_leaves_old_or_rejected(tmp_path, monkeyp
     monkeypatch.setattr(Path, "write_bytes", real_write)
     write_container(path, {"kind": "x"}, new)
     assert np.array_equal(container.read_container(path)[1]["a"], new[0][1])
+
+
+@pytest.mark.parametrize("unreadable", [container.MANIFEST_NAME, container.BLOB_NAME])
+def test_unreadable_container_file_raises_container_error(tmp_path, monkeypatch, unreadable):
+    save_model(init_network(small_arch(), seed=1), str(tmp_path / "model"))
+    DescriptorIndex(entries=[]).save(tmp_path / "index")
+    real_text, real_bytes = Path.read_text, Path.read_bytes
+
+    def deny(real):
+        def read(self, *args, **kwargs):
+            if self.name == unreadable:
+                raise PermissionError(13, "Permission denied")
+            return real(self, *args, **kwargs)
+        return read
+    monkeypatch.setattr(Path, "read_text", deny(real_text))
+    monkeypatch.setattr(Path, "read_bytes", deny(real_bytes))
+    message = f"cannot read .*{unreadable}: Permission denied"
+    for load in (container.read_container, load_model, DescriptorIndex.load):
+        path = tmp_path / ("index" if load is DescriptorIndex.load else "model")
+        with pytest.raises(ContainerError, match=message):
+            load(str(path))
