@@ -68,7 +68,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: dict) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text()) if path else {}
+        data = container.read_json(path, ValueError) if path else {}
         if not isinstance(data, dict):
             raise ValueError(f"config {path} is not a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
@@ -148,6 +148,15 @@ def _shape(text: str) -> tuple[int, int, int]:
     return tuple(int(d) for d in dims)
 
 
+def _fractions(text: str) -> list[float]:
+    """The argparse type of `pipeline --keep`: comma-separated numbers; the
+    config checks that each is a keep fraction, as it does for a config file."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
+
+
 def cmd_gen_dataset(args) -> int:
     ds.generate_dataset(args.out, instances=args.instances,
                         images_per_instance=args.images, shape=args.shape, seed=args.seed)
@@ -160,7 +169,7 @@ def cmd_train(args) -> int:
     if args.arch == "tinynet":
         arch = net.tinynet_architecture()
     else:
-        arch = json.loads(Path(args.arch).read_text())
+        arch = container.read_json(args.arch, ValueError)
     cfg = _training_config(args)
     model = train_baseline(arch, dataset, cfg)
     net.save_model(model, args.out)
@@ -222,7 +231,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
+    payload = container.read_json(args.input, ValueError)
     out = Path(args.out)
     try:
         if "layers" in payload:  # prune report
@@ -326,7 +335,7 @@ def _row(heuristic, keep, pooling, phase, result) -> list[str]:
 def cmd_pipeline(args) -> int:
     overrides = {
         "heuristics": args.heuristic.split(",") if args.heuristic else None,
-        "keep_fractions": [float(t) for t in args.keep.split(",")] if args.keep else None,
+        "keep_fractions": args.keep,
         "poolings": args.pooling.split(",") if args.pooling else None,
         "epochs": args.epochs,
         "margin": args.margin,
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full sweep: prune, evaluate, fine-tune, evaluate")
     p.add_argument("--config", default="", help="JSON ExperimentConfig; flags override")
     p.add_argument("--heuristic", default="", help="comma-separated heuristic ids")
-    p.add_argument("--keep", default="", help="comma-separated keep fractions")
+    p.add_argument("--keep", type=_fractions, default=None, help="comma-separated keep fractions")
     p.add_argument("--pooling", default="", help="comma-separated pooling kinds")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--margin", type=float, default=None)

@@ -30,7 +30,8 @@ class ContainerError(ValueError):
 
 
 class IntegrityError(ContainerError):
-    """Blob magic, size, or checksum does not match the manifest."""
+    """The manifest is unreadable or not JSON, or the blob's magic, size, or
+    checksum does not match it."""
 
 
 class VersionError(ContainerError):
@@ -85,34 +86,54 @@ def write_atomic(target: str | Path, data: bytes) -> None:
         raise
 
 
+def read_file(path: str | Path, error: type[Exception]) -> bytes:
+    """The bytes of the file at `path`; `error` naming the file if it is
+    missing or cannot be read. Every file the program reads comes through here."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise error(f"missing {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON value in the file at `path`; `error` naming the file if it
+    cannot be read (`read_file`) or is not valid JSON."""
+    raw = read_file(path, error)
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def is_int(value, minimum: int | None = None) -> bool:
+    """True for an int or numpy integer, never a bool, that is >= `minimum`
+    when one is given."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum))
+
+
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container directory, verifying version, magic, and checksums.
 
     Returns (manifest, tensors) with float tensors widened to float64 and
     bit-packed tensors unpacked to bool. A file that cannot be read raises
-    ContainerError.
+    ContainerError; a manifest that is not a JSON object, IntegrityError.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     blob_path = path / BLOB_NAME
     if not manifest_path.is_file() or not blob_path.is_file():
         raise ContainerError(f"{path} is not a container (missing manifest or blob)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise IntegrityError(f"manifest in {path} is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ContainerError(f"cannot read {manifest_path}: {exc.strerror or exc}") from exc
+    manifest = read_json(manifest_path, IntegrityError)
     if not isinstance(manifest, dict):
         raise IntegrityError(f"manifest in {path} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"container {path} has format version {version!r}, "
                            f"expected {FORMAT_VERSION}")
-    try:
-        blob = blob_path.read_bytes()
-    except OSError as exc:
-        raise ContainerError(f"cannot read {blob_path}: {exc.strerror or exc}") from exc
+    blob = read_file(blob_path, ContainerError)
     if len(blob) < _HEADER.size:
         raise IntegrityError(f"blob in {path} truncated before header")
     magic, blob_version, _ = _HEADER.unpack_from(blob)
@@ -146,16 +167,13 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 def _index_entry(spec, path: Path) -> tuple:
     """(name, kind, shape, offset, nbytes, crc32) of one tensor index entry, checked
     to be well-formed and to describe exactly `nbytes` bytes of payload."""
-    def natural(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
     try:
         name, kind, shape = spec["name"], spec["kind"], spec["shape"]
         start, nbytes, crc = spec["offset"], spec["nbytes"], spec["crc32"]
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"malformed tensor index entry in {path}: {spec!r}") from exc
     if not isinstance(name, str) or not isinstance(shape, list) \
-            or not all(natural(d) for d in shape + [start, nbytes]):
+            or not all(is_int(d, 0) for d in shape + [start, nbytes]):
         raise IntegrityError(f"malformed tensor index entry in {path}: {spec!r}")
     if kind not in ("bits", "f32"):
         raise ContainerError(f"tensor {name!r} has unknown kind {kind!r}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import write_atomic
+from .container import is_int, read_file, read_json, write_atomic
 
 CPTN_MAGIC = b"CPTN"
 CPTN_VERSION = 1
@@ -47,15 +47,6 @@ def save_tensor(arr: np.ndarray, path: str | Path) -> None:
     dims = list(arr.shape) + [0] * (4 - arr.ndim)
     header = _CPTN_HEADER.pack(CPTN_MAGIC, CPTN_VERSION, arr.ndim, *dims)
     write_atomic(path, header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_bytes(path: str | Path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except (FileNotFoundError, IsADirectoryError):
-        raise DatasetError(f"missing {path}") from None
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def load_tensor(path: str | Path) -> np.ndarray:
@@ -89,7 +80,7 @@ def _widen(stored: np.ndarray) -> np.ndarray:
 
 
 def _read_tensor(path: str | Path) -> np.ndarray:
-    raw = _read_bytes(path)
+    raw = read_file(path, DatasetError)
     if len(raw) < _CPTN_HEADER.size:
         raise DatasetError(f"{path}: truncated tensor file")
     magic, version, rank, *dims = _CPTN_HEADER.unpack_from(raw)
@@ -111,7 +102,7 @@ def _read_tensor(path: str | Path) -> np.ndarray:
 
 
 def _read_ppm(path: str | Path) -> np.ndarray:
-    raw = _read_bytes(path)
+    raw = read_file(path, DatasetError)
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4 and pos < len(raw):
@@ -203,16 +194,12 @@ SPLITS = ("train", "index", "query")
 _ITEM_KEYS = {"item_id", "label", "split", "path"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _manifest_item(entry) -> DatasetItem:
     if not isinstance(entry, dict) or set(entry) != _ITEM_KEYS:
         raise DatasetError(f"manifest item needs exactly the keys {sorted(_ITEM_KEYS)}, "
                            f"got {entry!r}")
     item = DatasetItem(**entry)
-    if not (isinstance(item.item_id, str) and _is_int(item.label) and item.split in SPLITS
+    if not (isinstance(item.item_id, str) and is_int(item.label) and item.split in SPLITS
             and isinstance(item.path, str) and item.path):
         raise DatasetError(f"malformed manifest item {entry!r}")
     return item
@@ -234,7 +221,7 @@ class RetrievalDataset:
                                f"{DATASET_FORMAT_VERSION}")
         shape = manifest.get("image_shape")
         if not (isinstance(shape, list) and len(shape) == 3
-                and all(_is_int(d) and d >= 1 for d in shape)):
+                and all(is_int(d, 1) for d in shape)):
             raise DatasetError(f"image_shape must be three positive integers, got {shape!r}")
         items, relevant = manifest.get("items"), manifest.get("relevant")
         if not isinstance(items, list):
@@ -299,14 +286,7 @@ class RetrievalDataset:
 
     @classmethod
     def load(cls, root: str | Path) -> "RetrievalDataset":
-        root = Path(root)
-        path = root / "manifest.json"
-        raw = _read_bytes(path)
-        try:
-            manifest = json.loads(raw)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise DatasetError(f"{path}: not valid JSON ({exc})") from None
-        return cls(root, manifest)
+        return cls(root, read_json(Path(root) / "manifest.json", DatasetError))
 
 
 def generate_dataset(out_dir: str | Path, instances: int = 40, images_per_instance: int = 8,

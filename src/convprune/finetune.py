@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import is_int
 from .dataset import RetrievalDataset
 from .network import (NetworkModel, clone_model, compact_model, expand_compact,
                       forward_features, init_network, validate_masks)
@@ -63,7 +64,7 @@ def require_int(config, name: str, minimum: int) -> None:
     """ValueError unless the field `name` of `config` is an integer (not a
     bool) >= `minimum`."""
     value = getattr(config, name)
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+    if not is_int(value, minimum):
         raise ValueError(f"{name.replace('_', ' ')} must be an integer >= {minimum}, "
                          f"got {value!r}")
 

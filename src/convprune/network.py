@@ -75,28 +75,25 @@ def tinynet_architecture() -> dict:
     }
 
 
-def _is_natural(value, minimum: int) -> bool:
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= minimum)
-
-
 def _natural(desc: dict, key: str, i: int, minimum: int, default=None) -> int:
     value = desc.get(key, default)
-    if not _is_natural(value, minimum):
+    if not container.is_int(value, minimum):
         raise ValueError(f"layer {i}: conv {key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def _check_chain(architecture) -> tuple[tuple[int, int, int], dict[int, tuple[int, int, int, int]]]:
-    """Parse an architecture {"input_shape": [C, H, W], "layers": [...]} and
-    validate its layer chain; returns the input shape and the weight shape
-    [C_out, C_in, k, k] of each conv layer, by layer index. Anything
-    malformed raises `ValueError` (`ShapeError` where sizes do not fit)."""
+def _check_chain(architecture, conv) -> tuple[tuple[int, int, int], list]:
+    """Parse an architecture {"input_shape": [C, H, W], "layers": [...]},
+    validate its layer chain and build its layers; returns the input shape
+    and the layer list. `conv(index, weight_shape, stride, padding)` makes
+    each conv layer, in order, from its weight shape [C_out, C_in, k, k].
+    Anything malformed raises `ValueError` (`ShapeError` where sizes do not
+    fit)."""
     if not isinstance(architecture, dict):
         raise ValueError(f"architecture must be a JSON object, got {type(architecture).__name__}")
     input_shape, layer_descs = architecture.get("input_shape"), architecture.get("layers")
     if not (isinstance(input_shape, (list, tuple)) and len(input_shape) == 3
-            and all(_is_natural(d, 1) for d in input_shape)):
+            and all(container.is_int(d, 1) for d in input_shape)):
         raise ShapeError(f"input shape must be (C,H,W) of positive sizes, got {input_shape!r}")
     if not isinstance(layer_descs, list) or not all(isinstance(d, dict) for d in layer_descs):
         raise ValueError(f"architecture layers must be a list of objects, got {layer_descs!r}")
@@ -107,7 +104,7 @@ def _check_chain(architecture) -> tuple[tuple[int, int, int], dict[int, tuple[in
                          "feature-map stack the descriptors pool over")
     input_shape = tuple(int(d) for d in input_shape)
     c, h, w = input_shape
-    shapes = {}
+    layers = []
     for i, desc in enumerate(layer_descs):
         kind = desc.get("kind")
         if kind == "conv":
@@ -121,41 +118,35 @@ def _check_chain(architecture) -> tuple[tuple[int, int, int], dict[int, tuple[in
                                  f"kernel {k}x{k}")
             h = (h + 2 * p - k) // s + 1
             w = (w + 2 * p - k) // s + 1
-            shapes[i] = (_natural(desc, "channels", i, 1), c, k, k)
-            c = shapes[i][0]
+            shape = (_natural(desc, "channels", i, 1), c, k, k)
+            layers.append(conv(i, shape, s, p))
+            c = shape[0]
         elif kind == "relu":
-            pass
+            layers.append(ReLULayer())
         elif kind == "maxpool2":
             if h % 2 or w % 2:
                 raise ShapeError(f"layer {i}: maxpool2 needs even spatial dims, got {h}x{w}")
             h, w = h // 2, w // 2
+            layers.append(MaxPool2Layer())
         else:
             raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
         if h < 1 or w < 1:
             raise ShapeError(f"layer {i}: spatial extent collapsed to {h}x{w}")
-    return input_shape, shapes
+    return input_shape, layers
 
 
 def init_network(architecture: dict, seed: int, name: str = "net") -> NetworkModel:
     """Build a model with He-scaled normal weights (std = sqrt(2 / fan_in)),
     zero biases, and all-ones masks. Deterministic for a fixed seed."""
-    input_shape, shapes = _check_chain(architecture)
     rng = np.random.default_rng(seed)
-    layers = []
-    for i, desc in enumerate(architecture["layers"]):
-        kind = desc["kind"]
-        if kind == "conv":
-            shape = shapes[i]
-            fan_in = shape[1] * shape[2] * shape[3]
-            weights = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-            layers.append(ConvLayer(weights=weights, bias=np.zeros(shape[0]),
-                                    mask=np.ones(shape, dtype=bool),
-                                    stride=desc.get("stride", 1),
-                                    padding=desc.get("padding", 0)))
-        elif kind == "relu":
-            layers.append(ReLULayer())
-        elif kind == "maxpool2":
-            layers.append(MaxPool2Layer())
+
+    def he_conv(i: int, shape: tuple, stride: int, padding: int) -> ConvLayer:
+        fan_in = shape[1] * shape[2] * shape[3]
+        return ConvLayer(weights=rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape),
+                         bias=np.zeros(shape[0]), mask=np.ones(shape, dtype=bool),
+                         stride=stride, padding=padding)
+
+    input_shape, layers = _check_chain(architecture, he_conv)
     return NetworkModel(input_shape=input_shape, layers=layers,
                         meta={"name": name, "seed": int(seed), "history": []})
 
@@ -201,16 +192,7 @@ def validate_masks(model: NetworkModel) -> None:
 
 
 def clone_model(model: NetworkModel) -> NetworkModel:
-    new_layers = []
-    for layer in model.layers:
-        if isinstance(layer, ConvLayer):
-            new_layers.append(ConvLayer(weights=layer.weights.copy(), bias=layer.bias.copy(),
-                                        mask=layer.mask.copy(), stride=layer.stride,
-                                        padding=layer.padding))
-        else:
-            new_layers.append(type(layer)())
-    return NetworkModel(input_shape=model.input_shape, layers=new_layers,
-                        meta=copy.deepcopy(model.meta))
+    return copy.deepcopy(model)
 
 
 def compact_model(model: NetworkModel) -> tuple[NetworkModel, dict[int, tuple]]:
@@ -278,48 +260,40 @@ def save_model(model: NetworkModel, path: str) -> None:
 def load_model(path: str) -> NetworkModel:
     """Load a model container. The architecture must form a valid chain and
     every conv layer's weights, bias and mask must have the shape and kind it
-    implies; anything else raises `container.ContainerError`."""
+    implies, with no other tensor stored; anything else raises
+    `container.ContainerError`."""
     manifest, tensors = container.read_container(path)
     if manifest.get("kind") != "model":
         raise container.ContainerError(f"{path} holds {manifest.get('kind')!r}, not a model")
-    arch = manifest.get("architecture")
-    try:
-        input_shape, shapes = _check_chain(arch)
-    except ValueError as exc:
-        raise container.ContainerError(f"{path}: malformed architecture: {exc!r}") from exc
     meta = manifest.get("metadata", {})
     if not isinstance(meta, dict):
         raise container.ContainerError(f"{path}: metadata is not a JSON object")
 
-    expected = {}
-    for i, shape in shapes.items():
-        expected[f"layers.{i}.weights"] = (shape, np.float64)
-        expected[f"layers.{i}.bias"] = ((shape[0],), np.float64)
-        expected[f"layers.{i}.mask"] = (shape, np.bool_)
-    if set(tensors) != set(expected):
-        raise container.ContainerError(
-            f"{path}: tensors {sorted(tensors)} do not match the architecture's "
-            f"{sorted(expected)}")
-    for name, (shape, dtype) in expected.items():
-        arr = tensors[name]
-        if arr.shape != shape or arr.dtype != dtype:
-            raise container.ContainerError(
-                f"{path}: tensor {name!r} is {arr.dtype} {arr.shape}, the architecture "
-                f"needs {np.dtype(dtype)} {shape}")
+    def stored_conv(i: int, shape: tuple, stride: int, padding: int) -> ConvLayer:
+        arrays = {}
+        for part, part_shape, dtype in (("weights", shape, np.float64),
+                                        ("bias", shape[:1], np.float64),
+                                        ("mask", shape, np.bool_)):
+            name = f"layers.{i}.{part}"
+            arr = arrays[part] = tensors.pop(name, None)
+            if arr is None:
+                raise container.ContainerError(f"{path}: the architecture needs tensor "
+                                               f"{name!r}, which is not stored")
+            if arr.shape != part_shape or arr.dtype != dtype:
+                raise container.ContainerError(
+                    f"{path}: tensor {name!r} is {arr.dtype} {arr.shape}, the architecture "
+                    f"needs {np.dtype(dtype)} {part_shape}")
+        return ConvLayer(**arrays, stride=stride, padding=padding)
 
-    layers = []
-    for i, desc in enumerate(arch["layers"]):
-        kind = desc["kind"]
-        if kind == "conv":
-            layers.append(ConvLayer(weights=tensors[f"layers.{i}.weights"],
-                                    bias=tensors[f"layers.{i}.bias"],
-                                    mask=tensors[f"layers.{i}.mask"],
-                                    stride=desc.get("stride", 1),
-                                    padding=desc.get("padding", 0)))
-        elif kind == "relu":
-            layers.append(ReLULayer())
-        else:
-            layers.append(MaxPool2Layer())
+    try:
+        input_shape, layers = _check_chain(manifest.get("architecture"), stored_conv)
+    except container.ContainerError:
+        raise
+    except ValueError as exc:
+        raise container.ContainerError(f"{path}: malformed architecture: {exc!r}") from exc
+    if tensors:
+        raise container.ContainerError(
+            f"{path}: tensors {sorted(tensors)} are not in the architecture")
     model = NetworkModel(input_shape=input_shape, layers=layers, meta=meta)
     try:
         validate_masks(model)  # reject files whose stored weights violate the masks

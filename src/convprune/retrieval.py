@@ -186,8 +186,8 @@ class DescriptorIndex:
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                 and len(set(ids)) == len(ids)):
             fail("ids must be a list of unique strings")
-        if not (isinstance(labels, list) and len(labels) == len(ids) and all(
-                isinstance(l, int) and not isinstance(l, bool) for l in labels)):
+        if not (isinstance(labels, list) and len(labels) == len(ids)
+                and all(container.is_int(l) for l in labels)):
             fail("labels must be one integer per id")
         matrix = tensors.get("descriptors")
         if (set(tensors) != {"descriptors"} or matrix.dtype != np.float64
@@ -197,8 +197,8 @@ class DescriptorIndex:
         if ids:
             if pooling not in POOLING_KINDS:
                 fail(f"unknown pooling kind {pooling!r}")
-            if not (isinstance(spatial, list) and len(spatial) == 2 and all(
-                    isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in spatial)):
+            if not (isinstance(spatial, list) and len(spatial) == 2
+                    and all(container.is_int(s, 1) for s in spatial)):
                 fail(f"spatial must be [W, H] positive integers, got {spatial!r}")
             if not np.all(np.isfinite(matrix)):
                 fail("non-finite descriptor values")

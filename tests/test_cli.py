@@ -137,6 +137,36 @@ def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault", ["missing", "unreadable", "not-json"])
+@pytest.mark.parametrize("flag", ["--config", "--arch", "--input"])
+def test_cli_input_files_raise_value_error_naming_the_file(workspace, tmp_path, monkeypatch,
+                                                           capsys, flag, fault):
+    path = tmp_path / "input.json"
+    if fault != "missing":
+        path.write_bytes(b"{" if fault == "not-json" else b"{}")
+    real_read = Path.read_bytes
+
+    def read(self):
+        if fault == "unreadable" and self.name == path.name:
+            raise PermissionError(13, "Permission denied")
+        return real_read(self)
+    monkeypatch.setattr(Path, "read_bytes", read)
+    out = tmp_path / "out"
+    argv = {
+        "--config": ["pipeline", "--config", str(path), "--data", str(workspace / "data"),
+                     "--model", str(workspace / "baseline"), "--out", str(out)],
+        "--arch": ["train", "--arch", str(path), "--data", str(workspace / "data"),
+                   "--out", str(out)],
+        "--input": ["report", "--input", str(path), "--out", str(out)],
+    }[flag]
+    if flag == "--config":
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            ExperimentConfig.from_file(str(path), {})
+    assert main(argv) == 1
+    assert re.search(rf"^error: .*{re.escape(str(path))}", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
 def test_evaluate_planted_duplicates_map_one(tmp_path):
     rng = np.random.default_rng(8)
     # every instance: the query image is byte-identical to its single index image
@@ -166,6 +196,11 @@ def test_usage_error_exit_code_2(tmp_path, capsys):
             main(["gen-dataset", "--out", str(tmp_path / "bad"), "--shape", shape])
         assert exc.value.code == 2
         assert "--shape" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    with pytest.raises(SystemExit) as exc:  # a malformed number too; a bad fraction is exit 1
+        main(["pipeline", "--keep", "abc", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert "--keep" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
 
 

@@ -5,7 +5,8 @@ their modules; a refactor that unbinds one of those names breaks `--trace 1`
 with a KeyError, and one that stops calling a wrapped name leaves the
 wrapper with zero calls, which fails a traced run. Installing and removing
 the tracer here catches the first and checks that every wrapped name gets
-its original back; a traced training step catches the second.
+its original back; a traced training step and a traced mini-sweep catch the
+second.
 """
 
 import importlib
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from convprune import finetune as ft
+from convprune.cli import ExperimentConfig
 from convprune.dataset import generate_dataset
-from convprune.network import init_network, tinynet_architecture
+from convprune.network import init_network, save_model, tinynet_architecture
 
 MODULES = ("tensor", "network", "pooling", "retrieval", "finetune", "salience", "pruner",
            "container", "dataset", "cli")
@@ -68,4 +70,26 @@ def test_traced_training_step_reaches_every_wrapper(pooling, monkeypatch, tmp_pa
     expected = workloads._FORWARD + workloads._TRAINING + [f"pooling.{pooling}_fwd",
                                                            f"pooling.{pooling}_bwd"]
     missing = [name for name in expected if summary.get(name, {}).get("calls", 0) == 0]
+    assert not missing
+
+
+def test_traced_mini_sweep_reaches_every_sweep_wrapper(monkeypatch, tmp_path):
+    """A one-point-per-heuristic rmac sweep over a 3x7 dataset and an
+    untrained tinynet, under the tracer, calls every wrapper the benchmark's
+    sweep workload requires, the file readers included."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module("convprune.cli")
+    generate_dataset(tmp_path / "data", instances=3, images_per_instance=7, seed=3)
+    save_model(init_network(tinynet_architecture(), seed=0), str(tmp_path / "baseline"))
+    cfg = ExperimentConfig(heuristics=["h1", "h2", "h3", "h4"], keep_fractions=[0.5],
+                           poolings=["rmac"], epochs=1, margin=2.0, h2_triplets=4,
+                           stats_images=4, data=str(tmp_path / "data"),
+                           model=str(tmp_path / "baseline"), out=str(tmp_path / "out"))
+    with tracer.Tracer().installed() as trace:
+        cli.run_pipeline(cfg)  # looked up as the benchmark does
+    summary = trace.summary()
+    missing = [name for name in workloads.EXPECTED_CALLS["sweep"]
+               if summary.get(name, {}).get("calls", 0) == 0]
     assert not missing
