@@ -19,12 +19,13 @@ trimmed sweeps are the normal way to use this, e.g.:
 
 import argparse
 import csv
-import json
+import io
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
+from convprune import container
 from convprune.cli import ExperimentConfig, run_pipeline
 from convprune.dataset import RetrievalDataset, generate_dataset
 from convprune.finetune import FinetuneConfig, train_baseline
@@ -46,6 +47,13 @@ def parse_args():
     return p.parse_args()
 
 
+def write_csv(path: Path, rows: list) -> None:
+    """Write `rows` as CSV through a temp file and a rename (`write_atomic`)."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    container.write_atomic(path, text.getvalue().encode())
+
+
 def main():
     args = parse_args()
     out = Path(args.out)
@@ -54,7 +62,6 @@ def main():
 
     if args.data:
         data_dir = Path(args.data)
-        RetrievalDataset.load(data_dir)
     else:
         data_dir = out / "data"
         if not (data_dir / "manifest.json").exists():
@@ -83,20 +90,19 @@ def main():
         t0 = time.time()
         run_pipeline(cfg)
         print(f"seed {seed}: sweep finished in {time.time() - t0:.0f}s")
-        with open(seed_dir / "metrics.csv") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["heuristic"], row["keep_fraction"], row["pooling"], row["phase"])
-                acc[key].append((float(row["map"]), float(row["recall4"] or "nan")))
+        metrics = container.read_file(seed_dir / "metrics.csv", ValueError).decode()
+        for row in csv.DictReader(io.StringIO(metrics)):
+            key = (row["heuristic"], row["keep_fraction"], row["pooling"], row["phase"])
+            acc[key].append((float(row["map"]), float(row["recall4"] or "nan")))
 
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["heuristic", "keep_fraction", "pooling", "phase",
-                         "map_mean", "recall4_mean", "seeds"])
-        for key in sorted(acc):
-            vals = acc[key]
-            map_mean = sum(v[0] for v in vals) / len(vals)
-            r4_mean = sum(v[1] for v in vals) / len(vals)
-            writer.writerow([*key, f"{map_mean:.6f}", f"{r4_mean:.6f}", len(vals)])
+    summary = [["heuristic", "keep_fraction", "pooling", "phase",
+                "map_mean", "recall4_mean", "seeds"]]
+    for key in sorted(acc):
+        vals = acc[key]
+        map_mean = sum(v[0] for v in vals) / len(vals)
+        r4_mean = sum(v[1] for v in vals) / len(vals)
+        summary.append([*key, f"{map_mean:.6f}", f"{r4_mean:.6f}", len(vals)])
+    write_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
 
     # per-layer remaining fractions for the h1 sweep (seed 0), plot-ready
@@ -106,15 +112,13 @@ def main():
                            f"prune_h1_t{float(keep):g}_{args.poolings.split(',')[0]}.json")
         if not report_path.exists():
             continue
-        payload = json.loads(report_path.read_text())
+        payload = container.read_json(report_path, ValueError)
         for layer_row in payload["layers"]:
             h1_rows.append([keep, layer_row["layer"], layer_row["total"],
                             layer_row["remaining"], f"{layer_row['fraction']:.6f}"])
     if h1_rows:
-        with open(out / "layer_fractions.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["keep_fraction", "layer", "total", "remaining", "fraction"])
-            writer.writerows(h1_rows)
+        write_csv(out / "layer_fractions.csv",
+                  [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
         print(f"wrote {out / 'layer_fractions.csv'}")
     return 0
 

@@ -111,8 +111,7 @@ def evaluate_model(model, dataset, pooling: str,
 def _activation_stats(model, dataset, cfg: ExperimentConfig) -> salience.ActivationStats:
     items = dataset.split("train") or dataset.split("index")
     ids = [it.item_id for it in items][:cfg.stats_images]
-    return salience.collect_activation_stats(
-        model, (dataset.load_image(i) for i in ids), fingerprint=dataset.fingerprint)
+    return salience.collect_activation_stats(model, (dataset.load_image(i) for i in ids))
 
 
 def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
@@ -254,10 +253,10 @@ def cmd_report(args) -> int:
 def run_pipeline(cfg: ExperimentConfig) -> Path:
     """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
 
-    Rewrites metrics.csv atomically after each row, so partial results
-    survive a failure; models, per-point prune reports, and a JSON-lines
-    event log (each `finetuned` event with its epoch log and worker count)
-    land next to it.
+    Rewrites metrics.csv atomically after each row, and the JSON-lines event
+    log (each `finetuned` event with its epoch log and worker count) after
+    each event, so partial results survive a failure; models and per-point
+    prune reports land next to them.
     """
     if not cfg.data or not cfg.model or not cfg.out:
         raise ValueError("pipeline needs data, model, and out paths")
@@ -267,26 +266,12 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     for sub in ("models", "reports", "descriptors"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     log_path = out / "log.jsonl"
-    log_path.write_text("")  # each run starts its own log, as it does metrics.csv
     metrics_path = out / "metrics.csv"
+    log_lines: list[str] = []
 
     def log_event(**kv):
-        with open(log_path, "a") as fh:
-            fh.write(json.dumps({"time": time.time(), **kv}) + "\n")
-
-    salience_cache: dict[str, salience.SalienceMap] = {}
-    stats_cache: list[salience.ActivationStats] = []
-
-    def salience_for_point(heuristic: str, pooling: str) -> salience.SalienceMap:
-        # h1 and the stats-based heuristics are pooling-independent; h2's
-        # loss runs through the pooling, so it gets one map per pooling
-        key = heuristic if heuristic != "h2" else f"h2_{pooling}"
-        if key not in salience_cache:
-            if heuristic in ("h3", "h4") and not stats_cache:
-                stats_cache.append(_activation_stats(baseline, dataset, cfg))
-            salience_cache[key] = _salience_for(heuristic, baseline, dataset, cfg, pooling,
-                                                *stats_cache)
-        return salience_cache[key]
+        log_lines.append(json.dumps({"time": time.time(), **kv}) + "\n")
+        container.write_atomic(log_path, "".join(log_lines).encode())
 
     failed = False
     rows = io.StringIO(newline="")
@@ -297,12 +282,18 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         container.write_atomic(metrics_path, rows.getvalue().encode())
 
     write_row(["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"])
+    container.write_atomic(log_path, b"")  # each run starts its own log, as it does metrics.csv
+    stats = None  # h3/h4's activation statistics, gathered once for every point
     for pooling in cfg.poolings:
         for heuristic in cfg.heuristics:
+            smap = None  # one map per heuristic and pooling, gathered at its first point
             for keep in cfg.keep_fractions:
                 tag = f"{heuristic}_t{keep:g}_{pooling}"
                 try:
-                    smap = salience_for_point(heuristic, pooling)
+                    if smap is None:
+                        if heuristic in ("h3", "h4") and stats is None:
+                            stats = _activation_stats(baseline, dataset, cfg)
+                        smap = _salience_for(heuristic, baseline, dataset, cfg, pooling, stats)
                     pruned, report = pruner.apply_pruning(baseline, smap, keep)
                     report.write_json(out / "reports" / f"prune_{tag}.json")
                     report.write_csv(out / "reports" / f"prune_{tag}.csv")

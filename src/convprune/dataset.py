@@ -206,10 +206,11 @@ def _manifest_item(entry) -> DatasetItem:
 
 
 class RetrievalDataset:
-    """Labeled image tensors with query/relevance structure. A missing,
-    unreadable or malformed manifest, or an image file that is missing,
-    unreadable, malformed or not of the manifest's image shape, raises
-    DatasetError."""
+    """Labeled image tensors with query/relevance structure. The constructor
+    reads every image and holds it as its file stores it (`load_image_file`).
+    A missing, unreadable or malformed manifest, or an image file that is
+    missing, unreadable, malformed or not of the manifest's image shape,
+    raises DatasetError there."""
 
     def __init__(self, root: Path, manifest: dict):
         self.root = Path(root)
@@ -235,10 +236,16 @@ class RetrievalDataset:
         self.items = [_manifest_item(it) for it in items]
         self.relevant = {q: list(ids) for q, ids in relevant.items()}
         self._by_id = {it.item_id: it for it in self.items}
-        self._cache: dict[str, np.ndarray] = {}
         manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
         self.fingerprint = hashlib.sha256(manifest_bytes).hexdigest()
         self._validate()
+        self._images: dict[str, np.ndarray] = {}
+        for it in self.items:
+            stored = load_image_file(self.root / it.path)
+            if tuple(stored.shape) != self.image_shape:
+                raise DatasetError(f"item {it.item_id!r} has shape {stored.shape}, manifest "
+                                   f"declares {self.image_shape}")
+            self._images[it.item_id] = stored
 
     def _validate(self) -> None:
         if len(self._by_id) != len(self.items):
@@ -263,26 +270,8 @@ class RetrievalDataset:
 
     def load_image(self, item_id: str) -> np.ndarray:
         """A fresh float64 copy of the image, bitwise what `load_tensor` or
-        `load_ppm` returns for its file. The cache holds each image as its
-        file stores it (`load_image_file`), and widens it on every call."""
-        return _widen(self._stored(item_id))
-
-    def fill_cache(self, split: str) -> None:
-        """Read every image of `split` that is not cached yet, so processes
-        forked afterwards find them all in the memory they inherit."""
-        for it in self.split(split):
-            self._stored(it.item_id)
-
-    def _stored(self, item_id: str) -> np.ndarray:
-        """The cached image as its file stores it, read on a miss."""
-        stored = self._cache.get(item_id)
-        if stored is None:
-            stored = load_image_file(self.root / self._by_id[item_id].path)
-            if tuple(stored.shape) != self.image_shape:
-                raise DatasetError(f"item {item_id!r} has shape {stored.shape}, manifest "
-                                   f"declares {self.image_shape}")
-            self._cache[item_id] = stored
-        return stored
+        `load_ppm` returns for its file."""
+        return _widen(self._images[item_id])
 
     @classmethod
     def load(cls, root: str | Path) -> "RetrievalDataset":

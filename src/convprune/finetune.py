@@ -184,13 +184,11 @@ def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str
                       pooling: str) -> dict[str, Descriptor]:
     """{item id: descriptor} for every item of `split`, in split order.
 
-    Runs the compact network `model`'s masks leave. The calling process fills
-    the dataset cache with the split, then `_forked_map` describes the items
-    by id, each process loading its images from the cache it holds, so the
-    descriptors are bitwise those of a serial loop for any worker count."""
+    Runs the compact network `model`'s masks leave. `_forked_map` describes
+    the items by id, so the descriptors are bitwise those of a serial loop
+    for any worker count."""
     model = compact_model(model)[0]
     ids = [it.item_id for it in dataset.split(split)]
-    dataset.fill_cache(split)
     descriptors = _forked_map(lambda i: descriptor_of(model, dataset.load_image(i), pooling),
                               ids)
     return dict(zip(ids, list(descriptors)))
@@ -436,11 +434,9 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     it drops have an exactly zero dense gradient, so they keep their values.
 
     The `training_workers` processes are forked once, after the compact
-    weights move to shared memory and the train split into the dataset
-    cache (`fill_cache`), and serve every batch of every epoch: each SGD step
-    the caller takes in place is what they read on the next batch. The cache
-    holds each image at its stored precision; a triplet pass widens its three
-    images to float64 copies.
+    weights move to shared memory, and serve every batch of every epoch:
+    each SGD step the caller takes in place is what they read on the next
+    batch.
     """
     validate_masks(model)
     tuned = clone_model(model)
@@ -453,7 +449,6 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     n_workers = training_workers(dataset, config)
     if n_workers > 1:
         _share_weights(model)
-        dataset.fill_cache("train")
     workers = _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin),
                        n_workers)
     try:

@@ -78,10 +78,9 @@ class ActivationStats:
     """Per conv layer, per input channel statistics of the layer's input."""
     layers: dict[int, LayerStats]
     sample_count: int          # images folded in
-    fingerprint: str | None = None
 
 
-def collect_activation_stats(model: NetworkModel, images, fingerprint: str | None = None) -> ActivationStats:
+def collect_activation_stats(model: NetworkModel, images) -> ActivationStats:
     """Single-pass streaming statistics of every conv layer's input tensor."""
     accumulators: dict[int, _MomentAccumulator] = {}
     n_images = 0
@@ -99,14 +98,13 @@ def collect_activation_stats(model: NetworkModel, images, fingerprint: str | Non
     layers = {idx: LayerStats(mean_abs=acc.abs_mean.copy(), variance=acc.variance,
                               position_count=acc.count)
               for idx, acc in accumulators.items()}
-    return ActivationStats(layers=layers, sample_count=n_images, fingerprint=fingerprint)
+    return ActivationStats(layers=layers, sample_count=n_images)
 
 
 @dataclass
 class SalienceMap:
     heuristic: str
     scores: dict[int, np.ndarray]   # conv layer index -> array shaped like weights
-    fingerprint: dict | None = None  # dataset hash + sample count (data-dependent only)
 
     def validate(self, model: NetworkModel) -> None:
         for idx, layer in model.conv_layers():
@@ -145,8 +143,7 @@ def salience_h3(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
     for idx, layer in model.conv_layers():
         ls = _stats_for_layer(stats, idx, layer.weights)
         scores[idx] = ls.mean_abs[None, :, None, None] * np.abs(layer.weights) * layer.mask
-    return SalienceMap(heuristic="h3", scores=scores,
-                       fingerprint={"dataset": stats.fingerprint, "samples": stats.sample_count})
+    return SalienceMap(heuristic="h3", scores=scores)
 
 
 def salience_h4(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
@@ -155,8 +152,7 @@ def salience_h4(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
     for idx, layer in model.conv_layers():
         ls = _stats_for_layer(stats, idx, layer.weights)
         scores[idx] = ls.variance[None, :, None, None] * layer.weights ** 2 * layer.mask
-    return SalienceMap(heuristic="h4", scores=scores,
-                       fingerprint={"dataset": stats.fingerprint, "samples": stats.sample_count})
+    return SalienceMap(heuristic="h4", scores=scores)
 
 
 def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
@@ -178,5 +174,4 @@ def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
     for idx, layer in model.conv_layers():
         mean_grad = grads[idx][0] / len(triplets)
         scores[idx] = np.abs(mean_grad * layer.weights) * layer.mask
-    return SalienceMap(heuristic="h2", scores=scores,
-                       fingerprint={"dataset": dataset.fingerprint, "samples": len(triplets)})
+    return SalienceMap(heuristic="h2", scores=scores)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
 from convprune.container import BLOB_NAME, MANIFEST_NAME, read_container
-from convprune.dataset import RetrievalDataset, save_tensor
+from convprune.dataset import DatasetError, RetrievalDataset, save_tensor
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
 from convprune.pooling import POOLING_KINDS
@@ -472,35 +473,93 @@ def test_pipeline_rerun_starts_a_fresh_log(workspace):
     assert min(e["time"] for e in events) > max(json.loads(line)["time"] for line in first)
 
 
-def test_pipeline_metrics_keep_complete_rows_when_a_write_fails(workspace, tmp_path,
-                                                                monkeypatch):
-    def run(name):
-        cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
-                               epochs=1, seed=4, data=str(workspace / "data"),
-                               model=str(workspace / "baseline"), out=str(tmp_path / name))
-        run_pipeline(cfg)
+def _run_sweep_point(workspace, out):
+    run_pipeline(ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                                  epochs=1, seed=4, data=str(workspace / "data"),
+                                  model=str(workspace / "baseline"), out=str(out)))
 
-    run("whole")
-    whole = (tmp_path / "whole" / "metrics.csv").read_bytes()
-    assert len(whole.splitlines()) == 3  # the header, the pruned and the finetuned row
-    metrics = tmp_path / "failed" / "metrics.csv"
+
+def _fail_rename(monkeypatch, target: Path, nth: int) -> list[bytes]:
+    """Make the `nth` rename onto `target` fail; returns, per rename onto it,
+    the bytes `target` held just before it."""
     real_replace = os.replace
-    writes = []
+    held = []
 
     def replace(src, dst):
-        if Path(dst) == metrics:
-            writes.append(dst)
-            if len(writes) == 3:  # the finetuned row's write
+        if Path(dst) == target:
+            held.append(target.read_bytes() if target.exists() else b"")
+            if len(held) == nth:
                 raise OSError("rename failed")
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
+    return held
+
+
+def test_pipeline_metrics_keep_complete_rows_when_a_write_fails(workspace, tmp_path,
+                                                                monkeypatch):
+    _run_sweep_point(workspace, tmp_path / "whole")
+    whole = (tmp_path / "whole" / "metrics.csv").read_bytes()
+    assert len(whole.splitlines()) == 3  # the header, the pruned and the finetuned row
+    metrics = tmp_path / "failed" / "metrics.csv"
+    writes = _fail_rename(monkeypatch, metrics, 3)  # the finetuned row's write
     with pytest.raises(RuntimeError, match="partial results"):
-        run("failed")
+        _run_sweep_point(workspace, tmp_path / "failed")
     assert len(writes) == 3
     assert metrics.read_bytes() == b"".join(whole.splitlines(keepends=True)[:2])
     assert not [p for p in metrics.parent.iterdir() if p.name.endswith(".tmp")]
     assert "rename failed" in (metrics.parent / "log.jsonl").read_text()
+
+
+def test_pipeline_log_keeps_complete_lines_when_a_write_fails(workspace, tmp_path,
+                                                              monkeypatch):
+    log = tmp_path / "failed" / "log.jsonl"
+    # the log's writes: the fresh empty log, the pruned, finetuned and error events
+    held = _fail_rename(monkeypatch, log, 3)
+    with pytest.raises(RuntimeError, match="partial results"):
+        _run_sweep_point(workspace, tmp_path / "failed")
+    assert len(held) == 4
+    # the failed write left the complete pruned line, which the error event's write extends
+    assert [json.loads(line)["stage"] for line in held[3].splitlines()] == ["pruned"]
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [e["stage"] for e in events] == ["pruned", "finetuned", "error"]
+    assert "rename failed" in events[-1]["error"]
+    assert not [p for p in log.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_pipeline_rejects_a_truncated_image_before_any_output(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    image = next((data / "tensors").iterdir())
+    image.write_bytes(image.read_bytes()[:-4])
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
+                           epochs=1, data=str(data), model=str(workspace / "baseline"),
+                           out=str(out))
+    with pytest.raises(DatasetError, match=f"{image.name}: payload"):
+        run_pipeline(cfg)
+    assert not out.exists()
+
+
+def test_no_image_file_is_read_after_the_dataset_loads(workspace, monkeypatch):
+    """Evaluation, fine-tuning and h2 salience, each on two processes, run
+    with the image file reader broken once the dataset has loaded."""
+    from convprune import dataset as dataset_module, finetune as finetune_module
+    from convprune.finetune import sample_triplets
+    from convprune.salience import salience_h2
+    dataset = RetrievalDataset.load(workspace / "data")
+    model = load_model(str(workspace / "baseline"))
+
+    def broken(path):
+        raise OSError(f"{path} read after the dataset loaded")
+    monkeypatch.setattr(dataset_module, "load_image_file", broken)
+    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
+    result = evaluate_model(model, dataset, "rmac")
+    assert result.query_count == len(dataset.split("query"))
+    _, log = finetune_module.finetune(model, dataset, FinetuneConfig(epochs=1))
+    assert len(log) == 1
+    triplets = sample_triplets(dataset, 4, mode="random", seed=0)
+    salience_h2(model, triplets, dataset, pooling="rmac", margin=2.0)
 
 
 def test_pipeline_finetuned_events_carry_the_epoch_log(workspace, monkeypatch):

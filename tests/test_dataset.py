@@ -149,9 +149,8 @@ def test_load_rejects_shape_mismatch(tmp_path):
     ds = build_dataset(tmp_path / "m", images)
     manifest = dict(ds.manifest)
     manifest["image_shape"] = [1, 8, 8]
-    bad = RetrievalDataset(tmp_path / "m", manifest)
-    with pytest.raises(ValueError, match="declares"):
-        bad.load_image("i000_v0")
+    with pytest.raises(DatasetError, match="declares"):
+        RetrievalDataset(tmp_path / "m", manifest)
 
 
 def test_fingerprint_tracks_content(tmp_path):
@@ -238,7 +237,7 @@ def test_missing_files_raise_dataset_error(tmp_path):
     ds = _tiny_dataset(tmp_path)
     (tmp_path / ds.items[0].path).unlink()
     with pytest.raises(DatasetError, match="missing"):
-        ds.load_image(ds.items[0].item_id)
+        RetrievalDataset.load(tmp_path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -312,7 +311,7 @@ def test_corrupted_dataset_loads_consistently_or_raises(target, truncate, where,
 
 
 # ---------------------------------------------------------------------------
-# The image cache: stored precision, widened copies
+# Images read at load: held at stored precision, handed out as widened copies
 # ---------------------------------------------------------------------------
 
 def _dataset_with_ppm(root):
@@ -338,7 +337,7 @@ def test_cached_images_are_bitwise_the_file_loaders(tmp_path):
     for item in ds.items:
         path = tmp_path / item.path
         expected = load_ppm(path) if item.path.endswith(".ppm") else load_tensor(path)
-        for _ in range(2):  # the miss, then the hit
+        for _ in range(2):  # each call widens the held image afresh
             img = ds.load_image(item.item_id)
             assert img.dtype == np.float64 and img.strides == expected.strides
             assert img.tobytes() == expected.tobytes()
@@ -346,12 +345,9 @@ def test_cached_images_are_bitwise_the_file_loaders(tmp_path):
 
 def test_cache_holds_stored_precision(tmp_path):
     ds = _dataset_with_ppm(tmp_path)
-    ds.fill_cache("query")
-    assert set(ds._cache) == {it.item_id for it in ds.split("query")}
-    ds.fill_cache("index")
-    assert set(ds._cache) == {it.item_id for it in ds.items}
+    assert set(ds._images) == {it.item_id for it in ds.items}
     ppm_id = ds.items[-1].item_id
-    for item_id, stored in ds._cache.items():
+    for item_id, stored in ds._images.items():
         assert stored.dtype == (np.uint8 if item_id == ppm_id else np.float32)
         assert stored.shape == ds.image_shape and not stored.flags.writeable
 
@@ -369,11 +365,8 @@ def test_unreadable_files_raise_dataset_error(tmp_path, monkeypatch, target):
         return real_read(self)
     monkeypatch.setattr(Path, "read_bytes", read)
     message = f"cannot read .*{name}: Permission denied"
-    if item is None:
+    if item is not None:
         with pytest.raises(DatasetError, match=message):
-            RetrievalDataset.load(tmp_path)
-        return
+            (load_ppm if target == "ppm" else load_tensor)(tmp_path / item.path)
     with pytest.raises(DatasetError, match=message):
-        (load_ppm if target == "ppm" else load_tensor)(tmp_path / item.path)
-    with pytest.raises(DatasetError, match=message):
-        ds.load_image(item.item_id)
+        RetrievalDataset.load(tmp_path)

@@ -110,7 +110,7 @@ def fabricated_stats(mean_abs, variance):
     return ActivationStats(layers={0: LayerStats(mean_abs=np.asarray(mean_abs, dtype=float),
                                                  variance=np.asarray(variance, dtype=float),
                                                  position_count=10)},
-                           sample_count=10, fingerprint="fab")
+                           sample_count=10)
 
 
 def test_h3_direct_values():

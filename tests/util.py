@@ -88,12 +88,11 @@ def build_dataset(root: Path, images_by_instance: list[list[np.ndarray]]) -> Ret
 
 
 class ArrayDataset:
-    """Duck-typed stand-in for RetrievalDataset when only load_image and a
-    fingerprint are needed (micro-pipeline salience tests)."""
+    """Duck-typed stand-in for RetrievalDataset when only load_image is
+    needed (micro-pipeline salience tests)."""
 
     def __init__(self, images: dict[str, np.ndarray]):
         self._images = images
-        self.fingerprint = "arraydataset"
 
     def load_image(self, item_id: str) -> np.ndarray:
         return self._images[item_id]
