@@ -8,7 +8,16 @@ Each pair runs the checkouts' own `perfbench/run.py` (`--trace 0`) once per
 side with the same seed; which side runs first flips every pair. Pair k uses
 seed `--first-seed` + k. Per workload and end-to-end metric of the change's
 `BENCHMARK.json` it prints both medians, the pairs the change won (ties count
-for neither) and the parent's interquartile range.
+for neither), the parent's interquartile range and a verdict, the first of
+these that holds:
+
+  gain          the change won at least 9/10 of the pairs and its median beats
+                the parent's by more than the parent's interquartile range;
+  worse         the change's median is worse than the parent's by more than
+                the metric's `bound` (a fraction of the parent's median);
+  unresolved    the parent's interquartile range is wider than that bound,
+                and not every change run beats every parent run;
+  within bound  anything else.
 
 Runs last `run_seconds` of `BENCHMARK.json`. `BENCH_<label>.json`, in the
 current directory, is rewritten after every pair. It holds the command run,
@@ -70,7 +79,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric the runs report: each side's quartiles, the
-    change's wins and the parent's interquartile range."""
+    change's wins, the parent's interquartile range and the verdict."""
     summary = {}
     for spec in metrics:
         name = spec["name"]
@@ -82,12 +91,22 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent, change = [a for a, _ in runs], [b for _, b in runs]
         sign = 1.0 if spec["better"] == "higher" else -1.0
         pq, cq = quartiles(parent), quartiles(change)
+        wins, iqr = sum(sign * (b - a) > 0 for a, b in runs), pq[2] - pq[0]
+        ahead = sign * (cq[1] - pq[1])  # > 0: the change's median is the better one
+        allowed = spec["bound"] * abs(pq[1])
+        if wins >= 0.9 * len(runs) and ahead > iqr:
+            verdict = "gain"
+        elif -ahead > allowed:
+            verdict = "worse"
+        elif iqr > allowed and min(sign * b for b in change) <= max(sign * a for a in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary[name] = {
             "unit": spec["unit"], "better": spec["better"], "pairs": len(runs),
             "parent_median": pq[1], "parent_quartiles": [pq[0], pq[2]],
             "change_median": cq[1], "change_quartiles": [cq[0], cq[2]],
-            "change_wins": sum(sign * (b - a) > 0 for a, b in runs),
-            "parent_iqr": pq[2] - pq[0],
+            "change_wins": wins, "parent_iqr": iqr, "verdict": verdict,
         }
     return summary
 
@@ -116,10 +135,11 @@ def main(argv=None) -> int:
             print(f"{workload} pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         print(f"\n{workload}: {len(pairs)} pairs, {bench['run_seconds']:g} s runs")
         print(f"  {'metric':<20} {'parent median':>14} {'change median':>14} "
-              f"{'wins':>6} {'parent IQR':>11}")
+              f"{'wins':>6} {'parent IQR':>11}  verdict")
         for name, s in entry["summary"].items():
             print(f"  {name:<20} {s['parent_median']:>14.4g} {s['change_median']:>14.4g} "
-                  f"{s['change_wins']:>3}/{s['pairs']:<2} {s['parent_iqr']:>11.4g}")
+                  f"{s['change_wins']:>3}/{s['pairs']:<2} {s['parent_iqr']:>11.4g}  "
+                  f"{s['verdict']}")
         failed = sum(p[side]["failed"] for p in pairs for side in SIDES)
         print(f"  failed operations: {failed}")
     print(f"\nwrote {out_path}")

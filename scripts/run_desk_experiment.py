@@ -19,6 +19,7 @@ trimmed sweeps are the normal way to use this, e.g.:
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 import time
@@ -27,8 +28,8 @@ from pathlib import Path
 
 from convprune import container
 from convprune.cli import ExperimentConfig, run_pipeline
-from convprune.dataset import RetrievalDataset, generate_dataset
-from convprune.finetune import FinetuneConfig, train_baseline
+from convprune.dataset import INDEX_IMAGES_PER_INSTANCE, RetrievalDataset, generate_dataset
+from convprune.finetune import FinetuneConfig, sample_triplets, train_baseline
 from convprune.network import save_model, tinynet_architecture
 
 
@@ -57,18 +58,34 @@ def write_csv(path: Path, rows: list) -> None:
 def main():
     args = parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in args.seeds.split(",")]
+    try:  # the sweep's checks, before a baseline trains for it
+        sweep = ExperimentConfig(heuristics=args.heuristics.split(","),
+                                 keep_fractions=[float(t) for t in args.keep.split(",")],
+                                 poolings=args.poolings.split(","), epochs=args.epochs)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
 
     if args.data:
         data_dir = Path(args.data)
     else:
+        # image 0 is the query and the next INDEX_IMAGES_PER_INSTANCE the index;
+        # training needs two more to form a positive pair
+        floor = 1 + INDEX_IMAGES_PER_INSTANCE + 2
+        if args.images < floor:
+            sys.exit(f"error: --images {args.images}: training needs at least {floor} "
+                     f"images per instance")
         data_dir = out / "data"
         if not (data_dir / "manifest.json").exists():
             print(f"generating dataset ({args.instances}x{args.images}) at {data_dir}")
             generate_dataset(data_dir, instances=args.instances,
                              images_per_instance=args.images, seed=0)
     dataset = RetrievalDataset.load(data_dir)
+    try:
+        sample_triplets(dataset, 0)  # the checks training makes, before any seed trains
+    except ValueError as exc:
+        sys.exit(f"error: {data_dir}: {exc}")
+    out.mkdir(parents=True, exist_ok=True)
 
     # accumulate rows keyed by sweep point, then average over seeds
     acc = defaultdict(list)
@@ -81,12 +98,8 @@ def main():
                                    FinetuneConfig(epochs=args.epochs, seed=seed))
             save_model(model, str(baseline_path))
             print(f"seed {seed}: baseline trained in {time.time() - t0:.0f}s")
-        cfg = ExperimentConfig(
-            heuristics=args.heuristics.split(","),
-            keep_fractions=[float(t) for t in args.keep.split(",")],
-            poolings=args.poolings.split(","),
-            epochs=args.epochs, seed=seed,
-            data=str(data_dir), model=str(baseline_path), out=str(seed_dir))
+        cfg = dataclasses.replace(sweep, seed=seed, data=str(data_dir),
+                                  model=str(baseline_path), out=str(seed_dir))
         t0 = time.time()
         run_pipeline(cfg)
         print(f"seed {seed}: sweep finished in {time.time() - t0:.0f}s")

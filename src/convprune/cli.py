@@ -25,11 +25,12 @@ from . import pruner, retrieval, salience
 # descriptor_of is unused here but stays bound: perfbench/tracer.py wraps
 # `cli.descriptor_of` by name and fails if the name is missing
 from .finetune import (MINING_MODES, FinetuneConfig, descriptor_of,  # noqa: F401
-                       finetune as run_finetune, require_int, sample_triplets,
+                       finetune as run_finetune, sample_triplets,
                        split_descriptors, train_baseline, training_workers)
 from .pooling import POOLING_KINDS
 
 DEFAULT_KEEP_FRACTIONS = (0.5, 0.4, 0.3, 0.2, 0.1)
+H2_TRIPLETS = 64  # the random triplet batch h2's gradients are summed over
 
 
 @dataclass
@@ -44,8 +45,6 @@ class ExperimentConfig:
     batch_size: int = FinetuneConfig.batch_size
     mining: str = FinetuneConfig.mining
     seed: int = FinetuneConfig.seed
-    stats_images: int = 256   # samples for h3/h4 activation statistics
-    h2_triplets: int = 64     # triplet batch for h2 salience
     data: str = ""
     model: str = ""
     out: str = ""
@@ -55,14 +54,17 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not (isinstance(values, (list, tuple)) and values):
                 raise ValueError(f"{name} must be a nonempty list, got {values!r}")
-        require_int(self, "stats_images", 1)
-        require_int(self, "h2_triplets", 1)
         for t in self.keep_fractions:
             if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
                 raise ValueError(f"keep fraction must be a number in (0, 1], got {t!r}")
         for h in self.heuristics:
             if h not in salience.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
+        tags = [_point(h, t, p)[0] for p in self.poolings for h in self.heuristics
+                for t in self.keep_fractions]
+        repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+        if repeated:  # a repeated point would overwrite the first one's files
+            raise ValueError(f"sweep points repeat: {repeated}")
         for p in self.poolings:
             self.finetune_config(p)  # rejects bad settings before any point runs
 
@@ -108,10 +110,9 @@ def evaluate_model(model, dataset, pooling: str,
     return retrieval.evaluate(index, queries)
 
 
-def _activation_stats(model, dataset, cfg: ExperimentConfig) -> salience.ActivationStats:
+def _activation_stats(model, dataset) -> salience.ActivationStats:
     items = dataset.split("train") or dataset.split("index")
-    ids = [it.item_id for it in items][:cfg.stats_images]
-    return salience.collect_activation_stats(model, (dataset.load_image(i) for i in ids))
+    return salience.collect_activation_stats(model, (dataset.load_image(it.item_id) for it in items))
 
 
 def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
@@ -121,10 +122,10 @@ def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling
     if heuristic == "h1":
         return salience.salience_h1(model)
     if heuristic == "h2":
-        triplets = sample_triplets(dataset, cfg.h2_triplets, mode="random", seed=[cfg.seed, 997])
+        triplets = sample_triplets(dataset, H2_TRIPLETS, mode="random", seed=[cfg.seed, 997])
         return salience.salience_h2(model, triplets, dataset, pooling=pooling, margin=cfg.margin)
     if heuristic in ("h3", "h4"):
-        stats = stats if stats is not None else _activation_stats(model, dataset, cfg)
+        stats = stats if stats is not None else _activation_stats(model, dataset)
         return (salience.salience_h3 if heuristic == "h3" else salience.salience_h4)(model, stats)
     raise ValueError(f"unknown heuristic {heuristic!r} (expected one of {salience.HEURISTICS})")
 
@@ -288,17 +289,17 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         for heuristic in cfg.heuristics:
             smap = None  # one map per heuristic and pooling, gathered at its first point
             for keep in cfg.keep_fractions:
-                tag = f"{heuristic}_t{keep:g}_{pooling}"
+                tag, fields = _point(heuristic, keep, pooling)
                 try:
                     if smap is None:
                         if heuristic in ("h3", "h4") and stats is None:
-                            stats = _activation_stats(baseline, dataset, cfg)
+                            stats = _activation_stats(baseline, dataset)
                         smap = _salience_for(heuristic, baseline, dataset, cfg, pooling, stats)
                     pruned, report = pruner.apply_pruning(baseline, smap, keep)
                     report.write_json(out / "reports" / f"prune_{tag}.json")
                     report.write_csv(out / "reports" / f"prune_{tag}.csv")
                     before = evaluate_model(pruned, dataset, pooling)
-                    write_row(_row(heuristic, keep, pooling, "pruned", before))
+                    write_row(_row(fields, "pruned", before))
                     log_event(stage="pruned", point=tag, map=before.mean_ap)
 
                     ft_cfg = cfg.finetune_config(pooling)
@@ -306,7 +307,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                     net.save_model(tuned, str(out / "models" / tag))
                     after = evaluate_model(tuned, dataset, pooling,
                                            save_index_to=out / "descriptors" / tag)
-                    write_row(_row(heuristic, keep, pooling, "finetuned", after))
+                    write_row(_row(fields, "finetuned", after))
                     log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs,
                               workers=training_workers(dataset, ft_cfg))
                 except Exception as exc:  # keep partial results, fail the run
@@ -318,9 +319,16 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _row(heuristic, keep, pooling, phase, result) -> list[str]:
+def _point(heuristic: str, keep: float, pooling: str) -> tuple[str, list[str]]:
+    """A sweep point's tag, which names its model, reports and index, and the
+    fields its metrics.csv rows begin with; both print the keep fraction `:g`."""
+    fields = [heuristic, f"{keep:g}", pooling]
+    return "{}_t{}_{}".format(*fields), fields
+
+
+def _row(fields: list[str], phase: str, result) -> list[str]:
     r4 = "" if result.mean_recall4 is None else f"{result.mean_recall4:.12g}"
-    return [heuristic, f"{keep:g}", pooling, phase, f"{result.mean_ap:.12g}", r4]
+    return [*fields, phase, f"{result.mean_ap:.12g}", r4]
 
 
 def cmd_pipeline(args) -> int:

@@ -216,7 +216,7 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
     from convprune.finetune import sample_triplets
     model = load_model(str(workspace / "baseline"))
     dataset = RetrievalDataset.load(workspace / "data")
-    cfg = ExperimentConfig(seed=3, h2_triplets=8, stats_images=16)
+    cfg = ExperimentConfig(seed=3)
     calls = []
     for h in salience.HEURISTICS:  # patched on the module, as perfbench's tracer does
         score = getattr(salience, f"salience_{h}")
@@ -226,9 +226,10 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
     assert [m.heuristic for m in maps.values()] == list(salience.HEURISTICS)
     (h1_args, _), (h2_args, h2_kwargs), (h3_args, _), (h4_args, _) = calls
     assert h1_args == (model,)
-    assert h2_args == (model, sample_triplets(dataset, 8, seed=[3, 997]), dataset)
+    assert h2_args == (model, sample_triplets(dataset, 64, seed=[3, 997]), dataset)
     assert h2_kwargs == {"pooling": "rmac", "margin": cfg.margin}
-    assert h3_args[1].sample_count == 16 and h4_args[1].sample_count == 16
+    train_images = len(dataset.split("train"))
+    assert h3_args[1].sample_count == train_images and h4_args[1].sample_count == train_images
     given = h3_args[1]
     cli._salience_for("h4", model, dataset, cfg, "rmac", given)
     assert calls[-1][0][1] is given  # statistics passed in are used, not gathered again
@@ -280,6 +281,19 @@ def test_experiment_config_validation(tmp_path):
     cfg_path.write_text(json.dumps({"heuristics": ["h1"], "epochs": 3}))
     cfg = ExperimentConfig.from_file(str(cfg_path), {"epochs": 5})
     assert cfg.epochs == 5 and cfg.heuristics == ["h1"]
+
+
+@pytest.mark.parametrize("key", ["stats_images", "h2_triplets"])
+def test_experiment_config_rejects_the_deleted_salience_sizes(key, tmp_path, workspace):
+    # h3/h4 statistics cover the whole train split and h2 draws H2_TRIPLETS
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: 16}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_file(str(cfg_path), {})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg_path), "--data", str(workspace / "data"),
+                 "--model", str(workspace / "baseline"), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", ["[]", '["epochs", 2]', '"h1"', "3", "null"])
@@ -376,13 +390,15 @@ def test_readme_lists_every_experiment_config_key():
 
 
 @pytest.mark.parametrize("bad", [
-    {"epochs": 2.5}, {"stats_images": "16"}, {"batch_size": 1.5}, {"seed": 1.5},
-    {"epochs": True}, {"seed": -1}, {"h2_triplets": 0}, {"stats_images": 0},
-    {"h2_triplets": 2.0}, {"heuristics": []}, {"keep_fractions": []}, {"poolings": []},
+    {"epochs": 2.5}, {"keep_fractions": [0.5, 0.5]}, {"batch_size": 1.5}, {"seed": 1.5},
+    {"epochs": True}, {"seed": -1}, {"keep_fractions": [0.1, 0.1000001]},
+    {"heuristics": ["h1", "h1"]}, {"poolings": ["sqp", "sqp"]},
+    {"heuristics": []}, {"keep_fractions": []}, {"poolings": []},
     {"keep_fractions": [True]}, {"heuristics": "h1"},
 ])
 def test_experiment_config_rejects_wrong_types_and_empty_lists(bad, tmp_path, workspace):
-    # each of these used to be accepted and fail only inside a pipeline point
+    # each of these used to be accepted and fail only inside a pipeline point,
+    # or, for repeated sweep points, overwrite the first point's files
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
     cfg_path = tmp_path / "cfg.json"

@@ -84,9 +84,9 @@ def test_traced_mini_sweep_reaches_every_sweep_wrapper(monkeypatch, tmp_path):
     generate_dataset(tmp_path / "data", instances=3, images_per_instance=7, seed=3)
     save_model(init_network(tinynet_architecture(), seed=0), str(tmp_path / "baseline"))
     cfg = ExperimentConfig(heuristics=["h1", "h2", "h3", "h4"], keep_fractions=[0.5],
-                           poolings=["rmac"], epochs=1, margin=2.0, h2_triplets=4,
-                           stats_images=4, data=str(tmp_path / "data"),
-                           model=str(tmp_path / "baseline"), out=str(tmp_path / "out"))
+                           poolings=["rmac"], epochs=1, margin=2.0,
+                           data=str(tmp_path / "data"), model=str(tmp_path / "baseline"),
+                           out=str(tmp_path / "out"))
     with tracer.Tracer().installed() as trace:
         cli.run_pipeline(cfg)  # looked up as the benchmark does
     summary = trace.summary()
