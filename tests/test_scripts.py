@@ -22,8 +22,8 @@ def _script(name: str):
 
 
 def _desk_experiment(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_desk_experiment.py"),
                            *args], capture_output=True, text=True, env=env, timeout=120)
 
