@@ -7,7 +7,8 @@ Produces, under --out:
                               per-point layer reports)
   summary.csv                 seed-averaged mAP / recall@4 per sweep point
   layer_fractions.csv         per-layer remaining fraction for the h1 sweep
-                              (seed 0), one row per (keep fraction, layer)
+                              (first seed, first pooling), one row per (keep
+                              fraction, layer); written when h1 is swept
 
 Runtime grows linearly in heuristics x fractions x poolings x seeds x epochs;
 the default full sweep (4 x 5 x 2 x 3, 20 epochs) is a multi-hour run, so
@@ -27,13 +28,13 @@ from collections import defaultdict
 from pathlib import Path
 
 from convprune import container
-from convprune.cli import ExperimentConfig, run_pipeline
+from convprune.cli import ExperimentConfig, _point, run_pipeline
 from convprune.dataset import INDEX_IMAGES_PER_INSTANCE, RetrievalDataset, generate_dataset
 from convprune.finetune import FinetuneConfig, sample_triplets, train_baseline
 from convprune.network import save_model, tinynet_architecture
 
 
-def parse_args():
+def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out", required=True)
@@ -45,7 +46,7 @@ def parse_args():
     p.add_argument("--poolings", default="sqp,rmac")
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--epochs", type=int, default=20)
-    return p.parse_args()
+    return p.parse_args(argv)
 
 
 def write_csv(path: Path, rows: list) -> None:
@@ -55,8 +56,8 @@ def write_csv(path: Path, rows: list) -> None:
     container.write_atomic(path, text.getvalue().encode())
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     out = Path(args.out)
     seeds = [int(s) for s in args.seeds.split(",")]
     try:  # the sweep's checks, before a baseline trains for it
@@ -78,10 +79,13 @@ def main():
         data_dir = out / "data"
         if not (data_dir / "manifest.json").exists():
             print(f"generating dataset ({args.instances}x{args.images}) at {data_dir}")
-            generate_dataset(data_dir, instances=args.instances,
-                             images_per_instance=args.images, seed=0)
-    dataset = RetrievalDataset.load(data_dir)
+            try:  # rejects too few instances before it writes anything
+                generate_dataset(data_dir, instances=args.instances,
+                                 images_per_instance=args.images, seed=0)
+            except ValueError as exc:
+                sys.exit(f"error: {exc}")
     try:
+        dataset = RetrievalDataset.load(data_dir)
         sample_triplets(dataset, 0)  # the checks training makes, before any seed trains
     except ValueError as exc:
         sys.exit(f"error: {data_dir}: {exc}")
@@ -118,21 +122,24 @@ def main():
     write_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
 
-    # per-layer remaining fractions for the h1 sweep (seed 0), plot-ready
+    # per-layer remaining fractions for the h1 sweep (first seed and pooling), plot-ready
+    if "h1" not in sweep.heuristics:
+        print(f"{out / 'layer_fractions.csv'} not written: h1 is not in the sweep")
+        return 0
     h1_rows = []
-    for keep in args.keep.split(","):
-        report_path = Path(out / f"seed{seeds[0]}" / "reports" /
-                           f"prune_h1_t{float(keep):g}_{args.poolings.split(',')[0]}.json")
-        if not report_path.exists():
-            continue
-        payload = container.read_json(report_path, ValueError)
+    reports = out / f"seed{seeds[0]}" / "reports"
+    for keep in sweep.keep_fractions:
+        tag, (_, keep_text, _) = _point("h1", keep, sweep.poolings[0])
+        try:
+            payload = container.read_json(reports / f"prune_{tag}.json", ValueError)
+        except ValueError as exc:  # every h1 point writes its report
+            sys.exit(f"error: {exc}")
         for layer_row in payload["layers"]:
-            h1_rows.append([keep, layer_row["layer"], layer_row["total"],
+            h1_rows.append([keep_text, layer_row["layer"], layer_row["total"],
                             layer_row["remaining"], f"{layer_row['fraction']:.6f}"])
-    if h1_rows:
-        write_csv(out / "layer_fractions.csv",
-                  [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
-        print(f"wrote {out / 'layer_fractions.csv'}")
+    write_csv(out / "layer_fractions.csv",
+              [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
+    print(f"wrote {out / 'layer_fractions.csv'}")
     return 0
 
 

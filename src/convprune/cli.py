@@ -26,7 +26,7 @@ from . import pruner, retrieval, salience
 # `cli.descriptor_of` by name and fails if the name is missing
 from .finetune import (MINING_MODES, FinetuneConfig, descriptor_of,  # noqa: F401
                        finetune as run_finetune, sample_triplets,
-                       split_descriptors, train_baseline, training_workers)
+                       split_descriptors, train_baseline)
 from .pooling import POOLING_KINDS
 
 DEFAULT_KEEP_FRACTIONS = (0.5, 0.4, 0.3, 0.2, 0.1)
@@ -60,6 +60,9 @@ class ExperimentConfig:
         for h in self.heuristics:
             if h not in salience.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
+        for name in ("data", "model", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
         tags = [_point(h, t, p)[0] for p in self.poolings for h in self.heuristics
                 for t in self.keep_fractions]
         repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
@@ -115,15 +118,17 @@ def _activation_stats(model, dataset) -> salience.ActivationStats:
     return salience.collect_activation_stats(model, (dataset.load_image(it.item_id) for it in items))
 
 
-def _salience_for(heuristic: str, model, dataset, cfg: ExperimentConfig, pooling: str,
+def _salience_for(heuristic: str, model, dataset, cfg: FinetuneConfig,
                   stats: salience.ActivationStats | None = None) -> salience.SalienceMap:
-    """The one salience dispatcher: gathers h2's triplets, or h3/h4's `stats` unless
-    given, and calls `salience.salience_h*` on the module, where perfbench patches it."""
+    """The one salience dispatcher: gathers h2's triplets (from `cfg`'s seed, pooling
+    and margin), or h3/h4's `stats` unless given, and calls `salience.salience_h*` on
+    the module, where perfbench patches it."""
     if heuristic == "h1":
         return salience.salience_h1(model)
     if heuristic == "h2":
         triplets = sample_triplets(dataset, H2_TRIPLETS, mode="random", seed=[cfg.seed, 997])
-        return salience.salience_h2(model, triplets, dataset, pooling=pooling, margin=cfg.margin)
+        return salience.salience_h2(model, triplets, dataset, pooling=cfg.pooling,
+                                    margin=cfg.margin)
     if heuristic in ("h3", "h4"):
         stats = stats if stats is not None else _activation_stats(model, dataset)
         return (salience.salience_h3 if heuristic == "h3" else salience.salience_h4)(model, stats)
@@ -181,11 +186,11 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     model = net.load_model(args.model)
-    cfg = ExperimentConfig(seed=args.seed, margin=args.margin)
+    cfg = FinetuneConfig(pooling=args.pooling, margin=args.margin, seed=args.seed)
     dataset = ds.RetrievalDataset.load(args.data) if args.data else None
     if args.heuristic != "h1" and dataset is None:
         raise ValueError(f"heuristic {args.heuristic} needs --data")
-    smap = _salience_for(args.heuristic, model, dataset, cfg, args.pooling)
+    smap = _salience_for(args.heuristic, model, dataset, cfg)
     pruned, report = pruner.apply_pruning(model, smap, args.keep)
     net.save_model(pruned, args.out)
     if args.report:
@@ -255,9 +260,9 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
 
     Rewrites metrics.csv atomically after each row, and the JSON-lines event
-    log (each `finetuned` event with its epoch log and worker count) after
-    each event, so partial results survive a failure; models and per-point
-    prune reports land next to them.
+    log (each `finetuned` event with its epoch log, whose entries carry the
+    worker count) after each event, so partial results survive a failure;
+    models and per-point prune reports land next to them.
     """
     if not cfg.data or not cfg.model or not cfg.out:
         raise ValueError("pipeline needs data, model, and out paths")
@@ -286,6 +291,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     container.write_atomic(log_path, b"")  # each run starts its own log, as it does metrics.csv
     stats = None  # h3/h4's activation statistics, gathered once for every point
     for pooling in cfg.poolings:
+        ft_cfg = cfg.finetune_config(pooling)
         for heuristic in cfg.heuristics:
             smap = None  # one map per heuristic and pooling, gathered at its first point
             for keep in cfg.keep_fractions:
@@ -294,7 +300,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                     if smap is None:
                         if heuristic in ("h3", "h4") and stats is None:
                             stats = _activation_stats(baseline, dataset)
-                        smap = _salience_for(heuristic, baseline, dataset, cfg, pooling, stats)
+                        smap = _salience_for(heuristic, baseline, dataset, ft_cfg, stats)
                     pruned, report = pruner.apply_pruning(baseline, smap, keep)
                     report.write_json(out / "reports" / f"prune_{tag}.json")
                     report.write_csv(out / "reports" / f"prune_{tag}.csv")
@@ -302,14 +308,12 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                     write_row(_row(fields, "pruned", before))
                     log_event(stage="pruned", point=tag, map=before.mean_ap)
 
-                    ft_cfg = cfg.finetune_config(pooling)
                     tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
                     net.save_model(tuned, str(out / "models" / tag))
                     after = evaluate_model(tuned, dataset, pooling,
                                            save_index_to=out / "descriptors" / tag)
                     write_row(_row(fields, "finetuned", after))
-                    log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs,
-                              workers=training_workers(dataset, ft_cfg))
+                    log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs)
                 except Exception as exc:  # keep partial results, fail the run
                     failed = True
                     log_event(stage="error", point=tag, error=str(exc))

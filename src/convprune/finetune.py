@@ -184,57 +184,47 @@ def split_descriptors(model: NetworkModel, dataset: RetrievalDataset, split: str
                       pooling: str) -> dict[str, Descriptor]:
     """{item id: descriptor} for every item of `split`, in split order.
 
-    Runs the compact network `model`'s masks leave. `_forked_map` describes
-    the items by id, so the descriptors are bitwise those of a serial loop
-    for any worker count."""
+    Runs the compact network `model`'s masks leave, on a `_Workers` pool
+    that describes the items by id, so the descriptors are bitwise those of
+    a serial loop for any worker count."""
     model = compact_model(model)[0]
     ids = [it.item_id for it in dataset.split(split)]
-    descriptors = _forked_map(lambda i: descriptor_of(model, dataset.load_image(i), pooling),
-                              ids)
-    return dict(zip(ids, list(descriptors)))
-
-
-def _forked_map(fn, items):
-    """Yield fn(item) for every item, in item order, from a `_Workers` pool
-    forked at the first `next` and closed when the generator ends or closes."""
-    items = list(items)
-    workers = _Workers(fn, _workers(len(items)))
-    try:
-        yield from workers.map(items)
-    finally:
-        workers.close()
-
-
-# The caller's ends of every live pool's pipes, per process as descriptors are:
-# a new worker closes them all, so each end has one holder, and a worker or a
-# caller that dies ends its pipes even while another pool forks.
-_CALLER_ENDS: set[int] = set()
+    with _Workers(lambda i: descriptor_of(model, dataset.load_image(i), pooling),
+                  _workers(len(ids))) as workers:
+        return dict(zip(ids, workers.map(ids)))
 
 
 class _Workers:
     """`n - 1` forked processes, each running `fn` on the share of items every
     `map` sends it; the caller runs share 0, and all of it with n == 1. Items
     and results cross pipes, so pass ids or indices: a worker sees memory as
-    it was at the fork, apart from shared memory (`_share_weights`)."""
+    it was at the fork, apart from shared memory (`_share_weights`).
+
+    Open a pool in a `with` block, whose exit is `close`."""
 
     def __init__(self, fn, n: int):
         self.fn, self.n, self.children = fn, n, []
         try:
             for _ in range(n - 1):
                 (req_r, req_w), (res_r, res_w) = os.pipe(), os.pipe()
-                _CALLER_ENDS.update((req_w, res_r))
                 child = [0, req_w, open(res_r, "rb")]  # pid 0 until the fork succeeds
                 self.children.append(child)
                 try:
                     child[0] = os.fork()
                     if child[0] == 0:
-                        _serve(fn, req_r, res_w)
+                        _serve(fn, req_r, res_w, self.children)
                 finally:  # the child never gets here: `_serve` exits
                     os.close(req_r)
                     os.close(res_w)
         except BaseException:
             self.close()
             raise
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def map(self, items: list):
         """Yield fn(item) for every item, in item order. Each worker is sent
@@ -269,7 +259,6 @@ class _Workers:
         on a full pipe; later maps run inline."""
         children, self.children, self.n = self.children, [], 1
         for pid, requests, results in children:
-            _CALLER_ENDS.difference_update((requests, results.fileno()))
             os.close(requests)
             results.close()
             if pid:
@@ -277,15 +266,20 @@ class _Workers:
                 os.waitpid(pid, 0)
 
 
-def _serve(fn, r: int, w: int) -> None:
-    """A forked worker's whole life. Per share read from the pipe `r`, run
-    `fn` over it up to its first exception (a result that cannot be pickled
-    counts as one), and only then, so it never blocks on a pipe the caller
-    does not read yet, write (True, result) per result and (False, exception)
-    to the pipe `w`. Exit, skipping the caller's cleanup, when `r` ends."""
+def _serve(fn, r: int, w: int, siblings: list) -> None:
+    """A forked worker's whole life. Close the caller's ends of the pipes of
+    `siblings` (its pool's children up to itself): only the caller and the
+    workers of pools forked later hold them, so when the caller dies its
+    workers see end-of-file in reverse fork order. Per share read from the
+    pipe `r`, run `fn` over it up to its first exception (a result that
+    cannot be pickled counts as one), and only then, so it never blocks on a
+    pipe the caller does not read yet, write (True, result) per result and
+    (False, exception) to the pipe `w`. Exit, skipping the caller's cleanup,
+    when `r` ends."""
     try:
-        for fd in _CALLER_ENDS:
-            os.close(fd)
+        for _, requests, results in siblings:
+            os.close(requests)
+            results.close()
         with open(r, "rb") as requests, open(w, "wb") as out:
             while True:
                 try:
@@ -371,15 +365,18 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
     hinge count).
 
     Triplets run, each on its own tape, on `workers` (a pool running
-    `_triplet_pass` with these arguments, which `finetune` keeps) or else
-    through `_forked_map`. The caller folds the results in triplet order, so
-    the first non-finite loss in that order raises and the sums are bitwise
-    those of a serial loop for any worker count."""
+    `_triplet_pass` with these arguments, which `finetune` keeps) or else on
+    a pool opened for this one map. The caller folds the results in triplet
+    order, so the first non-finite loss in that order raises and the sums
+    are bitwise those of a serial loop for any worker count."""
+    triplets = list(triplets)
+    if workers is None:
+        with _Workers(lambda t: _triplet_pass(model, dataset, t, pooling, margin),
+                      _workers(len(triplets))) as pool:
+            return triplet_gradients(model, triplets, dataset, pooling, margin, where, pool)
     conv_layers = model.conv_layers()
     grads = {idx: (np.zeros_like(l.weights), np.zeros_like(l.bias)) for idx, l in conv_layers}
-    triplets = list(triplets)
-    results = workers.map(triplets) if workers is not None else _forked_map(
-        lambda t: _triplet_pass(model, dataset, t, pooling, margin), triplets)
+    results = workers.map(triplets)
     loss_sum = 0.0
     active = 0
     try:
@@ -418,11 +415,6 @@ def sgd_batch_step(model: NetworkModel, batch: list[Triplet], dataset: Retrieval
     return loss_sum, active
 
 
-def training_workers(dataset: RetrievalDataset, config: FinetuneConfig) -> int:
-    """The processes `finetune` trains on: `_workers` of its largest batch."""
-    return _workers(min(config.batch_size, len(dataset.split("train"))))
-
-
 def finetune(model: NetworkModel, dataset: RetrievalDataset,
              config: FinetuneConfig) -> tuple[NetworkModel, list[dict]]:
     """SGD over triplet batches; returns (updated model copy, per-epoch log).
@@ -433,10 +425,10 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     weights and biases are then written into a copy of `model`; the entries
     it drops have an exactly zero dense gradient, so they keep their values.
 
-    The `training_workers` processes are forked once, after the compact
-    weights move to shared memory, and serve every batch of every epoch:
-    each SGD step the caller takes in place is what they read on the next
-    batch.
+    The `_workers` processes of the largest batch, which every epoch entry
+    records as "workers", are forked once, after the compact weights move to
+    shared memory, and serve every batch of every epoch: each SGD step the
+    caller takes in place is what they read on the next batch.
     """
     validate_masks(model)
     tuned = clone_model(model)
@@ -446,12 +438,11 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
         raise ValueError("dataset has no training images")
     triplets_per_epoch = n_train
     log: list[dict] = []
-    n_workers = training_workers(dataset, config)
+    n_workers = _workers(min(config.batch_size, n_train))
     if n_workers > 1:
         _share_weights(model)
-    workers = _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin),
-                       n_workers)
-    try:
+    with _Workers(lambda t: _triplet_pass(model, dataset, t, config.pooling, config.margin),
+                  n_workers) as workers:
         for epoch in range(config.epochs):
             t_start = time.perf_counter()
             descriptors = None
@@ -474,11 +465,10 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
                 "mean_loss": loss_sum / len(triplets),
                 "active_fraction": active / len(triplets),
                 "wall_time": time.perf_counter() - t_start,
+                "workers": n_workers,
             }
             log.append(entry)
             tuned.meta.setdefault("history", []).append(entry)
-    finally:
-        workers.close()
     expand_compact(tuned, model, kept)
     validate_masks(tuned)
     return tuned, log

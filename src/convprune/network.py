@@ -268,6 +268,10 @@ def load_model(path: str) -> NetworkModel:
     meta = manifest.get("metadata", {})
     if not isinstance(meta, dict):
         raise container.ContainerError(f"{path}: metadata is not a JSON object")
+    history = meta.get("history", [])  # `finetune` appends an entry per epoch
+    if not (isinstance(history, list) and all(isinstance(e, dict) for e in history)):
+        raise container.ContainerError(f"{path}: metadata history is not a list of "
+                                       f"JSON objects, got {history!r}")
 
     def stored_conv(i: int, shape: tuple, stride: int, padding: int) -> ConvLayer:
         arrays = {}

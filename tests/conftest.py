@@ -4,7 +4,7 @@ import os
 # count when numpy first loads it, so pin it before numpy is imported. With
 # BLAS at one thread, the program forks one process per core: `finetune`
 # forks its workers once per call and they serve every SGD batch, while
-# `finetune._forked_map` forks a pool for one map (descriptors, `h2`).
+# descriptors and `h2` open a `finetune._Workers` pool for one map.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
-from convprune.container import BLOB_NAME, MANIFEST_NAME, read_container
+from convprune.container import BLOB_NAME, MANIFEST_NAME, ContainerError, read_container
 from convprune.dataset import DatasetError, RetrievalDataset, save_tensor
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
@@ -216,13 +216,13 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
     from convprune.finetune import sample_triplets
     model = load_model(str(workspace / "baseline"))
     dataset = RetrievalDataset.load(workspace / "data")
-    cfg = ExperimentConfig(seed=3)
+    cfg = FinetuneConfig(seed=3, pooling="rmac")
     calls = []
     for h in salience.HEURISTICS:  # patched on the module, as perfbench's tracer does
         score = getattr(salience, f"salience_{h}")
         monkeypatch.setattr(salience, f"salience_{h}", lambda *a, _f=score, **kw:
                             calls.append((a, kw)) or _f(*a, **kw))
-    maps = {h: cli._salience_for(h, model, dataset, cfg, "rmac") for h in salience.HEURISTICS}
+    maps = {h: cli._salience_for(h, model, dataset, cfg) for h in salience.HEURISTICS}
     assert [m.heuristic for m in maps.values()] == list(salience.HEURISTICS)
     (h1_args, _), (h2_args, h2_kwargs), (h3_args, _), (h4_args, _) = calls
     assert h1_args == (model,)
@@ -231,10 +231,10 @@ def test_salience_for_gathers_inputs_for_the_one_dispatcher(workspace, monkeypat
     train_images = len(dataset.split("train"))
     assert h3_args[1].sample_count == train_images and h4_args[1].sample_count == train_images
     given = h3_args[1]
-    cli._salience_for("h4", model, dataset, cfg, "rmac", given)
+    cli._salience_for("h4", model, dataset, cfg, given)
     assert calls[-1][0][1] is given  # statistics passed in are used, not gathered again
     with pytest.raises(ValueError, match="unknown heuristic"):
-        cli._salience_for("h9", model, dataset, cfg, "rmac")
+        cli._salience_for("h9", model, dataset, cfg)
 
 
 def test_extract_writes_the_index_evaluate_saves(workspace, tmp_path):
@@ -408,6 +408,38 @@ def test_experiment_config_rejects_wrong_types_and_empty_lists(bad, tmp_path, wo
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg_path), "--data", str(workspace / "data"),
                  "--model", str(workspace / "baseline"), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["data", "model", "out"])
+def test_experiment_config_rejects_a_number_for_a_path(key, tmp_path, workspace, monkeypatch):
+    # a number used to construct and fail inside run_pipeline with a TypeError
+    monkeypatch.chdir(tmp_path)  # so that an out path "5" would land here
+    paths = {"data": str(workspace / "data"), "model": str(workspace / "baseline"),
+             "out": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"heuristics": ["h1"], "keep_fractions": [0.5],
+                                    **paths, key: 5}))
+    with pytest.raises(ValueError, match=f"{key} must be a path string"):
+        ExperimentConfig.from_file(str(cfg_path), {})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("history", [5, [1], {"epoch": 0}])
+def test_baseline_with_a_malformed_history_fails_to_load(history, tmp_path, workspace):
+    # a history that is not a list of objects used to load, and `finetune`
+    # failed appending to it after a whole epoch
+    baseline = tmp_path / "baseline"
+    shutil.copytree(workspace / "baseline", baseline)
+    manifest = json.loads((baseline / MANIFEST_NAME).read_text())
+    manifest["metadata"]["history"] = history
+    (baseline / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(ContainerError, match="history"):
+        load_model(str(baseline))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--data", str(workspace / "data"), "--model", str(baseline),
+                 "--out", str(out), "--heuristic", "h1", "--keep", "0.5"]) == 1
     assert not out.exists()
 
 
@@ -587,10 +619,11 @@ def test_pipeline_finetuned_events_carry_the_epoch_log(workspace, monkeypatch):
                                   model=str(workspace / "baseline"), out=str(out)))
     events = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
     tuned = [e for e in events if e["stage"] == "finetuned"]
-    assert len(tuned) == 1 and tuned[0]["workers"] == 2
+    assert len(tuned) == 1 and "workers" not in tuned[0]  # each epoch entry carries it
     assert [e["epoch"] for e in tuned[0]["epochs"]] == [0, 1]
     for entry in tuned[0]["epochs"]:
         assert {"mean_loss", "active_fraction", "wall_time"} <= entry.keys()
+        assert entry["workers"] == 2
     assert b"wall_time" not in (out / "metrics.csv").read_bytes()
 
 

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import signal
 import sys
 import threading
 
@@ -446,30 +447,29 @@ def test_first_error_in_triplet_order_raises_across_shares(small_dataset, nan_in
         triplet_gradients(model, triplets, ArrayDataset(images), "sqp", 0.1)
 
 
-def test_forked_map_worker_that_dies_raises_in_caller(monkeypatch):
+def test_worker_that_dies_raises_in_caller():
     def square_or_die(item):
         if item == 3:
             os._exit(3)
         return item * item
 
-    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
-    results = finetune_module._forked_map(square_or_die, [0, 1, 2, 3])
-    assert [next(results), next(results)] == [0, 1]  # share 0, run by the caller
-    with pytest.raises(RuntimeError, match="exited without its results"):
-        next(results)
+    with finetune_module._Workers(square_or_die, 2) as workers:
+        results = workers.map([0, 1, 2, 3])
+        assert [next(results), next(results)] == [0, 1]  # share 0, run by the caller
+        with pytest.raises(RuntimeError, match="exited without its results"):
+            next(results)
 
 
-def test_forked_map_unpicklable_result_raises_naming_it(monkeypatch):
-    monkeypatch.setattr(finetune_module, "_workers", lambda n: 2)
-    results = finetune_module._forked_map(lambda i: (lambda: i), [0, 1, 2, 3])
-    assert [next(results)(), next(results)()] == [0, 1]  # share 0 never crosses a pipe
-    with pytest.raises(pickle.PicklingError, match="cannot be pickled: .*lambda"):
-        next(results)
+def test_worker_unpicklable_result_raises_naming_it():
+    with finetune_module._Workers(lambda i: (lambda: i), 2) as workers:
+        results = workers.map([0, 1, 2, 3])
+        assert [next(results)(), next(results)()] == [0, 1]  # share 0 never crosses a pipe
+        with pytest.raises(pickle.PicklingError, match="cannot be pickled: .*lambda"):
+            next(results)
 
 
-def test_workers_hold_no_pipe_end_of_another_pool():
-    trainers = finetune_module._Workers(lambda i: i, 2)  # as `finetune` keeps one
-    try:
+def test_trainer_pool_serves_after_a_nested_pool_map():
+    with finetune_module._Workers(lambda i: i, 2) as trainers:  # as `finetune` keeps one
         ends = [fd for _, requests, results in trainers.children
                 for fd in (requests, results.fileno())]
 
@@ -483,13 +483,41 @@ def test_workers_hold_no_pipe_end_of_another_pool():
                     pass
             return still_open
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(finetune_module, "_workers", lambda n: 2)
-            in_caller, in_worker = finetune_module._forked_map(open_ends, [0, 1])
-        assert in_caller == ends and in_worker == []
+        # as hard mining opens a descriptor pool inside the trainer's
+        with finetune_module._Workers(open_ends, 2) as nested:
+            in_caller, _ = nested.map([0, 1])
+        assert in_caller == ends
         assert list(trainers.map([3, 4])) == [3, 4]  # the trainer pool still serves
+
+
+def test_workers_exit_by_themselves_when_their_caller_ends_close():
+    """A caller that dies closes its pipe ends and kills nothing: with a
+    trainer pool and a nested pool alive, every worker must see end-of-file
+    and exit."""
+    trainers = finetune_module._Workers(lambda i: i, 3)
+    nested = finetune_module._Workers(lambda i: i, 2)
+    children = trainers.children + nested.children
+    trainers.children, nested.children = [], []  # nothing left for `close` to kill
+    pids = [pid for pid, _, _ in children]
+
+    def timed_out(signum, frame):
+        raise TimeoutError("a worker did not exit after its caller's pipe ends closed")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        for _, requests, results in children:
+            os.close(requests)
+            results.close()
+        while pids:
+            assert os.waitpid(pids[-1], 0) == (pids[-1], 0)
+            pids.pop()
     finally:
-        trainers.close()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def test_triplet_passes_run_on_the_calling_thread_alone(small_dataset, small_model,

@@ -48,6 +48,53 @@ def test_desk_experiment_rejects_bad_input_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_desk_experiment_reports_unloadable_data_and_too_few_instances(tmp_path):
+    out = tmp_path / "out"
+    (tmp_path / "empty").mkdir()
+    run = _desk_experiment("--out", str(out), "--data", str(tmp_path / "empty"))
+    assert run.returncode != 0
+    assert run.stderr.startswith("error: ") and "manifest.json" in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert not out.exists()
+
+    run = _desk_experiment("--out", str(out), "--instances", "1")
+    assert run.returncode != 0
+    assert run.stderr.startswith("error: ") and "2 instances" in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_desk_experiment_layer_fractions_follow_the_h1_point_tags(tmp_path, capsys,
+                                                                  monkeypatch):
+    desk = _script("run_desk_experiment")
+    generate_dataset(tmp_path / "data", instances=3, images_per_instance=7, seed=0)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--data", str(tmp_path / "data"), "--poolings", "sqp",
+            "--seeds", "0", "--epochs", "1"]
+    assert desk.main([*args, "--heuristics", "h1", "--keep", "0.50"]) == 0
+    rows = (out / "layer_fractions.csv").read_text().splitlines()
+    assert rows[0] == "keep_fraction,layer,total,remaining,fraction"
+    assert len(rows) > 1 and all(row.startswith("0.5,") for row in rows[1:])
+
+    (out / "layer_fractions.csv").unlink()
+    assert desk.main([*args, "--heuristics", "h3", "--keep", "0.5"]) == 0
+    assert "layer_fractions.csv not written: h1 is not in the sweep" in capsys.readouterr().out
+    assert not (out / "layer_fractions.csv").exists()
+
+    run_pipeline = desk.run_pipeline
+
+    def losing_reports(cfg):  # a sweep whose h1 reports are gone
+        result = run_pipeline(cfg)
+        for report in (out / "seed0" / "reports").iterdir():
+            report.unlink()
+        return result
+
+    monkeypatch.setattr(desk, "run_pipeline", losing_reports)
+    with pytest.raises(SystemExit, match=r"^error: .*prune_h1_t0\.5_sqp\.json"):
+        desk.main([*args, "--heuristics", "h1", "--keep", "0.5"])
+    assert not (out / "layer_fractions.csv").exists()
+
+
 def _pairs(parent: list[float], change: list[float]) -> list[dict]:
     return [{"parent": {"metrics": {"m": a}}, "change": {"metrics": {"m": b}}}
             for a, b in zip(parent, change)]
