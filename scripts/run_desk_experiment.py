@@ -34,6 +34,16 @@ from convprune.finetune import FinetuneConfig, sample_triplets, train_baseline
 from convprune.network import save_model, tinynet_architecture
 
 
+def _seeds(text: str) -> list[int]:
+    """The argparse type of `--seeds`: comma-separated distinct integers >= 0
+    (a repeated seed would be averaged twice)."""
+    seeds = text.split(",")
+    if not all(s.isdecimal() for s in seeds) or len(set(map(int, seeds))) < len(seeds):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated integers >= 0, "
+                                         f"got {text!r}")
+    return [int(s) for s in seeds]
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -44,22 +54,14 @@ def parse_args(argv=None):
     p.add_argument("--heuristics", default="h1,h2,h3,h4")
     p.add_argument("--keep", default="0.5,0.4,0.3,0.2,0.1")
     p.add_argument("--poolings", default="sqp,rmac")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_seeds, default="0,1,2")
     p.add_argument("--epochs", type=int, default=20)
     return p.parse_args(argv)
-
-
-def write_csv(path: Path, rows: list) -> None:
-    """Write `rows` as CSV through a temp file and a rename (`write_atomic`)."""
-    text = io.StringIO(newline="")
-    csv.writer(text).writerows(rows)
-    container.write_atomic(path, text.getvalue().encode())
 
 
 def main(argv=None):
     args = parse_args(argv)
     out = Path(args.out)
-    seeds = [int(s) for s in args.seeds.split(",")]
     try:  # the sweep's checks, before a baseline trains for it
         sweep = ExperimentConfig(heuristics=args.heuristics.split(","),
                                  keep_fractions=[float(t) for t in args.keep.split(",")],
@@ -93,7 +95,7 @@ def main(argv=None):
 
     # accumulate rows keyed by sweep point, then average over seeds
     acc = defaultdict(list)
-    for seed in seeds:
+    for seed in args.seeds:
         seed_dir = out / f"seed{seed}"
         baseline_path = seed_dir / "baseline"
         if not (baseline_path / "manifest.json").exists():
@@ -119,7 +121,7 @@ def main(argv=None):
         map_mean = sum(v[0] for v in vals) / len(vals)
         r4_mean = sum(v[1] for v in vals) / len(vals)
         summary.append([*key, f"{map_mean:.6f}", f"{r4_mean:.6f}", len(vals)])
-    write_csv(out / "summary.csv", summary)
+    container.write_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
 
     # per-layer remaining fractions for the h1 sweep (first seed and pooling), plot-ready
@@ -127,7 +129,7 @@ def main(argv=None):
         print(f"{out / 'layer_fractions.csv'} not written: h1 is not in the sweep")
         return 0
     h1_rows = []
-    reports = out / f"seed{seeds[0]}" / "reports"
+    reports = out / f"seed{args.seeds[0]}" / "reports"
     for keep in sweep.keep_fractions:
         tag, (_, keep_text, _) = _point("h1", keep, sweep.poolings[0])
         try:
@@ -137,8 +139,8 @@ def main(argv=None):
         for layer_row in payload["layers"]:
             h1_rows.append([keep_text, layer_row["layer"], layer_row["total"],
                             layer_row["remaining"], f"{layer_row['fraction']:.6f}"])
-    write_csv(out / "layer_fractions.csv",
-              [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
+    container.write_csv(out / "layer_fractions.csv",
+                        [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
     print(f"wrote {out / 'layer_fractions.csv'}")
     return 0
 

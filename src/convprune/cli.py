@@ -9,10 +9,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
 import sys
 import time
 from dataclasses import dataclass, field
@@ -207,7 +204,7 @@ def cmd_finetune(args) -> int:
     tuned, log = run_finetune(model, dataset, cfg)
     net.save_model(tuned, args.out)
     if args.log:
-        container.write_atomic(args.log, "".join(json.dumps(e) + "\n" for e in log).encode())
+        container.write_jsonl(args.log, log)
     print(f"fine-tuned {args.epochs} epochs; final mean loss {log[-1]['mean_loss']:.4f}; "
           f"saved to {args.out}")
     return 0
@@ -259,7 +256,8 @@ def cmd_report(args) -> int:
 def run_pipeline(cfg: ExperimentConfig) -> Path:
     """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
 
-    Rewrites metrics.csv atomically after each row, and the JSON-lines event
+    Before it creates `out`, checks that the baseline takes the dataset's
+    images and that the train split can form triplets. Rewrites metrics.csv atomically after each row, and the JSON-lines event
     log (each `finetuned` event with its epoch log, whose entries carry the
     worker count) after each event, so partial results survive a failure;
     models and per-point prune reports land next to them.
@@ -268,27 +266,19 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         raise ValueError("pipeline needs data, model, and out paths")
     dataset = ds.RetrievalDataset.load(cfg.data)
     baseline = net.load_model(cfg.model)
+    if baseline.input_shape != dataset.image_shape:
+        raise ValueError(f"baseline {cfg.model} takes {baseline.input_shape} images, "
+                         f"dataset {cfg.data} holds {dataset.image_shape}")
+    sample_triplets(dataset, 0)  # fine-tuning's checks on the train split
     out = Path(cfg.out)
     for sub in ("models", "reports", "descriptors"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    log_path = out / "log.jsonl"
-    metrics_path = out / "metrics.csv"
-    log_lines: list[str] = []
-
-    def log_event(**kv):
-        log_lines.append(json.dumps({"time": time.time(), **kv}) + "\n")
-        container.write_atomic(log_path, "".join(log_lines).encode())
-
+    metrics_path, log_path = out / "metrics.csv", out / "log.jsonl"
+    rows = [["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"]]
+    events: list[dict] = []  # each run starts its own log, as it does metrics.csv
+    container.write_csv(metrics_path, rows)
+    container.write_jsonl(log_path, events)
     failed = False
-    rows = io.StringIO(newline="")
-    writer = csv.writer(rows)
-
-    def write_row(row: list) -> None:
-        writer.writerow(row)
-        container.write_atomic(metrics_path, rows.getvalue().encode())
-
-    write_row(["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"])
-    container.write_atomic(log_path, b"")  # each run starts its own log, as it does metrics.csv
     stats = None  # h3/h4's activation statistics, gathered once for every point
     for pooling in cfg.poolings:
         ft_cfg = cfg.finetune_config(pooling)
@@ -305,18 +295,26 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                     report.write_json(out / "reports" / f"prune_{tag}.json")
                     report.write_csv(out / "reports" / f"prune_{tag}.csv")
                     before = evaluate_model(pruned, dataset, pooling)
-                    write_row(_row(fields, "pruned", before))
-                    log_event(stage="pruned", point=tag, map=before.mean_ap)
+                    rows.append([*fields, "pruned", before.mean_ap, before.mean_recall4])
+                    container.write_csv(metrics_path, rows)
+                    events.append(dict(time=time.time(), stage="pruned", point=tag,
+                                       map=before.mean_ap))
+                    container.write_jsonl(log_path, events)
 
                     tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
                     net.save_model(tuned, str(out / "models" / tag))
                     after = evaluate_model(tuned, dataset, pooling,
                                            save_index_to=out / "descriptors" / tag)
-                    write_row(_row(fields, "finetuned", after))
-                    log_event(stage="finetuned", point=tag, map=after.mean_ap, epochs=epochs)
+                    rows.append([*fields, "finetuned", after.mean_ap, after.mean_recall4])
+                    container.write_csv(metrics_path, rows)
+                    events.append(dict(time=time.time(), stage="finetuned", point=tag,
+                                       map=after.mean_ap, epochs=epochs))
+                    container.write_jsonl(log_path, events)
                 except Exception as exc:  # keep partial results, fail the run
                     failed = True
-                    log_event(stage="error", point=tag, error=str(exc))
+                    events.append(dict(time=time.time(), stage="error", point=tag,
+                                       error=str(exc)))
+                    container.write_jsonl(log_path, events)
                     print(f"point {tag} failed: {exc}", file=sys.stderr)
     if failed:
         raise RuntimeError(f"one or more pipeline points failed; partial results in {out}")
@@ -328,11 +326,6 @@ def _point(heuristic: str, keep: float, pooling: str) -> tuple[str, list[str]]:
     fields its metrics.csv rows begin with; both print the keep fraction `:g`."""
     fields = [heuristic, f"{keep:g}", pooling]
     return "{}_t{}_{}".format(*fields), fields
-
-
-def _row(fields: list[str], phase: str, result) -> list[str]:
-    r4 = "" if result.mean_recall4 is None else f"{result.mean_recall4:.12g}"
-    return [*fields, phase, f"{result.mean_ap:.12g}", r4]
 
 
 def cmd_pipeline(args) -> int:

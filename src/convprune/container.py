@@ -8,6 +8,8 @@ as packed bits; every segment carries a CRC32 checksum verified on read.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -84,6 +86,24 @@ def write_atomic(target: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(target: str | Path, rows: list[list]) -> None:
+    """Write `rows` as CSV through `write_atomic`, in the excel dialect (CRLF
+    line ends, a cell quoted when it holds a comma, quote or line break). A
+    float cell (numpy float64 too) prints `:.12g` and `None` as an empty cell;
+    any other cell prints as `csv` prints it. Every table the program writes
+    comes through here."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([f"{c:.12g}" if isinstance(c, float) else c for c in row]
+                               for row in rows)
+    write_atomic(target, text.getvalue().encode())
+
+
+def write_jsonl(target: str | Path, records: list) -> None:
+    """Write each of `records` as one JSON line through `write_atomic`; no
+    records write an empty file."""
+    write_atomic(target, "".join(json.dumps(r) + "\n" for r in records).encode())
 
 
 def read_file(path: str | Path, error: type[Exception]) -> bytes:

@@ -261,6 +261,9 @@ class RetrievalDataset:
             for rid in rel:
                 if rid not in index_ids:
                     raise DatasetError(f"query {qid!r} lists non-index item {rid!r} as relevant")
+        for it in self.split("query"):
+            if it.item_id not in self.relevant:
+                raise DatasetError(f"query {it.item_id!r} has no relevant entry")
 
     def split(self, name: str) -> list[DatasetItem]:
         return [it for it in self.items if it.split == name]

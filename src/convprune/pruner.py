@@ -9,8 +9,6 @@ index removed first. Biases are never pruned.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,16 +61,14 @@ class PruneReport:
 
 
 def write_prune_csv(path: str | Path, layers: list[dict]) -> None:
-    """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["layer", "total", "remaining", "fraction"])
-    for r in layers:
-        writer.writerow([r["layer"], r["total"], r["remaining"], f"{r['fraction']:.12g}"])
+    """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row. A
+    `fraction` that is not a number (`report` reads rows from a file) raises."""
     total = sum(r["total"] for r in layers)
     remaining = sum(r["remaining"] for r in layers)
-    writer.writerow(["all", total, remaining, f"{remaining / total:.12g}" if total else "0"])
-    container.write_atomic(path, buf.getvalue().encode())
+    container.write_csv(path, [
+        ["layer", "total", "remaining", "fraction"],
+        *([r["layer"], r["total"], r["remaining"], float(r["fraction"])] for r in layers),
+        ["all", total, remaining, remaining / total if total else 0.0]])
 
 
 def select_threshold(salience: SalienceMap, keep_fraction: float,

@@ -9,8 +9,6 @@ when it is built.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -270,15 +268,11 @@ class EvalResult:
         }, indent=2)
 
     def write_csv(self, path: str | Path) -> None:
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["query", "ap", "recall4"])
-        for qid in sorted(self.per_query_ap):
-            r4 = self.per_query_recall4.get(qid, "")
-            writer.writerow([qid, f"{self.per_query_ap[qid]:.12g}", r4])
-        writer.writerow(["mean", f"{self.mean_ap:.12g}",
-                         "" if self.mean_recall4 is None else f"{self.mean_recall4:.12g}"])
-        container.write_atomic(path, buf.getvalue().encode())
+        container.write_csv(path, [
+            ["query", "ap", "recall4"],
+            *([qid, float(self.per_query_ap[qid]), self.per_query_recall4.get(qid)]
+              for qid in sorted(self.per_query_ap)),
+            ["mean", self.mean_ap, self.mean_recall4]])
 
 
 def evaluate(index: DescriptorIndex, queries: list[tuple[str, Descriptor, set[str]]]) -> EvalResult:

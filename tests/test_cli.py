@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
-from convprune.container import BLOB_NAME, MANIFEST_NAME, ContainerError, read_container
+from convprune.container import (BLOB_NAME, MANIFEST_NAME, ContainerError, read_container,
+                                 write_csv, write_jsonl)
 from convprune.dataset import DatasetError, RetrievalDataset, save_tensor
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
@@ -128,7 +129,10 @@ def test_evaluate_command_and_report(workspace):
     "no layers here",
     {"layers": [{"layer": "L0", "total": 4, "fraction": 0.5}]},
     {"per_query_ap": {"q0": 1.0}, "query_count": 1},
-], ids=["string", "prune-row-without-remaining", "eval-without-recall4"])
+    {"layers": [{"layer": "L0", "total": 4, "remaining": 2, "fraction": "half"}]},
+    {"per_query_ap": {"q0": [1.0]}, "per_query_recall4": {}, "query_count": 1},
+], ids=["string", "prune-row-without-remaining", "eval-without-recall4",
+        "prune-fraction-not-a-number", "eval-ap-not-a-number"])
 def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
     path = tmp_path / "bad_report.json"
     path.write_text(json.dumps(payload))
@@ -340,6 +344,8 @@ ATOMIC_WRITERS = {
         "finetune", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
         "--out", str(path.parent.parent / "tuned"), "--epochs", "1", "--log", str(path)]),
     "cptn": lambda ws, path: save_tensor(np.zeros((2, 3)), path),
+    "write-csv": lambda ws, path: write_csv(path, [["a", 0.5]]),
+    "write-jsonl": lambda ws, path: write_jsonl(path, [{"a": 0.5}]),
 }
 
 
@@ -632,18 +638,40 @@ def test_pipeline_requires_paths():
         run_pipeline(ExperimentConfig())
 
 
-def test_pipeline_point_failure_preserves_partial_results(workspace, tmp_path):
-    # a baseline whose input shape mismatches the dataset fails every point,
-    # but the metrics file and the error log must still be written
-    from convprune.network import init_network, save_model
-    arch = {"input_shape": [3, 16, 16],
-            "layers": [{"kind": "conv", "channels": 4, "kernel": 3, "stride": 1, "padding": 1}]}
-    save_model(init_network(arch, seed=0), str(tmp_path / "wrong"))
+def test_pipeline_point_failure_preserves_partial_results(workspace, tmp_path, monkeypatch):
+    # a fine-tune that fails fails every point, but the metrics file and the
+    # error log must still be written
+    from convprune import cli
+
+    def failing_finetune(*args, **kwargs):
+        raise ValueError("fine-tuning failed")
+    monkeypatch.setattr(cli, "run_finetune", failing_finetune)
     out = tmp_path / "broken"
     cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],
                            epochs=1, seed=0, data=str(workspace / "data"),
-                           model=str(tmp_path / "wrong"), out=str(out))
+                           model=str(workspace / "baseline"), out=str(out))
     with pytest.raises(RuntimeError, match="partial results"):
         run_pipeline(cfg)
     assert (out / "metrics.csv").read_text().startswith("heuristic,")
     assert "error" in (out / "log.jsonl").read_text()
+
+
+def test_pipeline_checks_baseline_and_training_split_before_any_output(workspace, tmp_path):
+    from convprune.dataset import generate_dataset
+    from convprune.network import init_network, save_model
+    arch = {"input_shape": [3, 16, 16],
+            "layers": [{"kind": "conv", "channels": 4, "kernel": 3, "stride": 1, "padding": 1}]}
+    save_model(init_network(arch, seed=0), str(tmp_path / "wrong"))
+    generate_dataset(tmp_path / "pairless", instances=3, images_per_instance=6, seed=0)
+    out = tmp_path / "out"
+    for data, model, message in [
+            (workspace / "data", tmp_path / "wrong", r"takes \(3, 16, 16\) images"),
+            (tmp_path / "pairless", workspace / "baseline", "two images")]:
+        assert main(["pipeline", "--data", str(data), "--model", str(model), "--out", str(out),
+                     "--heuristic", "h1", "--keep", "0.5", "--pooling", "sqp"]) == 1
+        assert not out.exists()
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5],
+                                          poolings=["sqp"], data=str(data), model=str(model),
+                                          out=str(out)))
+        assert not out.exists()

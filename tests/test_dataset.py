@@ -214,7 +214,7 @@ def _item_update(**changes):
     _item_update(split="val"), _item_update(path=3), _item_update(item_id=None),
     lambda m: m["items"][0].pop("path"), _set("relevant", []), _drop("relevant"),
     _set("relevant", {"i000_v0": "i000_v1"}), _set("relevant", {"i000_v0": [1]}),
-    _set("relevant", {"nobody": ["i000_v1"]}),
+    _set("relevant", {"nobody": ["i000_v1"]}), lambda m: m["relevant"].pop("i000_v0"),
 ])
 def test_malformed_manifest_raises_dataset_error(tmp_path, corrupt):
     manifest = _tiny_dataset(tmp_path).manifest

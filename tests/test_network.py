@@ -443,6 +443,30 @@ def test_container_write_failing_midway_leaves_old_or_rejected(tmp_path, monkeyp
     assert np.array_equal(container.read_container(path)[1]["a"], new[0][1])
 
 
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    container.write_csv(path, [["a", "b,c", 3], [0.1 + 0.2, np.float64(2) / 3, None],
+                               [1.0, -7, "x"]])
+    assert path.read_bytes() == (b'a,"b,c",3\r\n'
+                                 b"0.3,0.666666666667,\r\n"
+                                 b"1,-7,x\r\n")
+
+
+def test_write_jsonl_writes_one_object_per_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    container.write_jsonl(path, [{"a": 1}, {"b": [2.5, None]}])
+    assert path.read_bytes() == b'{"a": 1}\n{"b": [2.5, null]}\n'
+    container.write_jsonl(path, [])
+    assert path.read_bytes() == b""
+
+
+def test_csv_is_written_only_by_the_container_module():
+    root = Path(__file__).resolve().parents[1]
+    sources = [*(root / "src" / "convprune").glob("*.py"), *(root / "scripts").glob("*.py")]
+    writers = [p.name for p in sources if "csv.writer" in p.read_text()]
+    assert writers == ["container.py"]
+
+
 @pytest.mark.parametrize("unreadable", [container.MANIFEST_NAME, container.BLOB_NAME])
 def test_unreadable_container_file_raises_container_error(tmp_path, monkeypatch, unreadable):
     save_model(init_network(small_arch(), seed=1), str(tmp_path / "model"))

@@ -64,6 +64,18 @@ def test_desk_experiment_reports_unloadable_data_and_too_few_instances(tmp_path)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["abc", "-1", "0,1,0", "0,,1"])
+def test_desk_experiment_rejects_bad_seeds_as_a_usage_error(seeds, tmp_path, capsys):
+    desk = _script("run_desk_experiment")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        desk.main(["--out", str(out), "--seeds", seeds])
+    assert exit_info.value.code == 2
+    assert f"--seeds: expected distinct comma-separated integers >= 0, got {seeds!r}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_desk_experiment_layer_fractions_follow_the_h1_point_tags(tmp_path, capsys,
                                                                   monkeypatch):
     desk = _script("run_desk_experiment")
