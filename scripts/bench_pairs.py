@@ -24,18 +24,34 @@ current directory, is rewritten after every pair. It holds the command run,
 each side's commit and source hash, the summary, with both sides' quartiles,
 and, per run, the end-to-end metrics, the output checks and the provenance
 line `perfbench/run.py` printed.
+
+The workload `tier1` runs the Tier-1 suite instead (`TIER1_COMMAND`, in the
+checkout, with its `src` on PYTHONPATH). Each run records its wall time
+`wall_s`, the passed, failed and error counts and the `--durations` list of
+the slowest tests; `wall_s` gets the same verdicts (`TIER1_METRICS`).
+That summary is informational: `BENCHMARK.json` gates no Tier-1 metric.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from provenance import collect  # noqa: E402
+
 SIDES = ("parent", "change")
+TIER1 = "tier1"
+TIER1_COMMAND = ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors",
+                 "--durations=10"]
+TIER1_METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
 
 
 def _parse(argv):
@@ -68,6 +84,35 @@ def run_once(checkout: Path, cmd: list[str]) -> dict:
     return {**json.loads(lines[-2]), "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def parse_tier1(stdout: str) -> dict:
+    """The passed, failed and error counts on the last line of a pytest run's
+    output, and the tests its `--durations` section lists, slowest first."""
+    lines = stdout.strip().splitlines()
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    for n, kind in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        counts["errors" if kind == "error" else kind] = int(n)
+    slowest = [{"seconds": float(m[1]), "when": m[2], "test": m[3]}
+               for m in map(re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(\S+)$").match,
+                            lines) if m]
+    return {**counts, "slowest": slowest}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in `checkout`: its commit and source hash, `wall_s` and
+    what `parse_tier1` reads from its output."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    out = subprocess.run(TIER1_COMMAND, cwd=checkout, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    wall_s = time.perf_counter() - start
+    if out.returncode not in (0, 1):  # 1: some tests failed, which the run records
+        raise RuntimeError(f"Tier-1 in {checkout} exited {out.returncode}:\n"
+                           f"{out.stdout[-2000:]}{out.stderr}")
+    provenance = collect(checkout, checkout / "src", None)
+    return {"provenance": {k: provenance[k] for k in ("git_commit", "source_sha256")},
+            "metrics": {"wall_s": wall_s}, **parse_tier1(out.stdout)}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -121,19 +166,23 @@ def main(argv=None) -> int:
     for workload in args.workload:
         pairs: list[dict] = []
         entry = record["workloads"][workload] = {"pairs": pairs}
+        tier1 = workload == TIER1
+        if tier1:
+            entry["command"] = TIER1_COMMAND
         for k in range(args.pairs):
             seed = args.first_seed + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "order": list(order)}
             for side in order:
-                pair[side] = run = run_once(checkouts[side], command(bench, workload, seed))
+                pair[side] = run = (run_tier1(checkouts[side]) if tier1 else
+                                    run_once(checkouts[side], command(bench, workload, seed)))
                 record["checkouts"].setdefault(side, {
                     k: run["provenance"][k] for k in ("git_commit", "source_sha256")})
             pairs.append(pair)
-            entry["summary"] = summarize(pairs, bench["end_to_end"])
+            entry["summary"] = summarize(pairs, TIER1_METRICS if tier1 else bench["end_to_end"])
             out_path.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{workload} pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-        print(f"\n{workload}: {len(pairs)} pairs, {bench['run_seconds']:g} s runs")
+        print(f"\n{workload}: {len(pairs)} pairs")
         print(f"  {'metric':<20} {'parent median':>14} {'change median':>14} "
               f"{'wins':>6} {'parent IQR':>11}  verdict")
         for name, s in entry["summary"].items():
@@ -141,7 +190,7 @@ def main(argv=None) -> int:
                   f"{s['change_wins']:>3}/{s['pairs']:<2} {s['parent_iqr']:>11.4g}  "
                   f"{s['verdict']}")
         failed = sum(p[side]["failed"] for p in pairs for side in SIDES)
-        print(f"  failed operations: {failed}")
+        print(f"  failed {'tests' if tier1 else 'operations'}: {failed}")
     print(f"\nwrote {out_path}")
     return 0
 

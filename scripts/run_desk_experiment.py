@@ -29,7 +29,7 @@ from pathlib import Path
 
 from convprune import container
 from convprune.cli import ExperimentConfig, _point, run_pipeline
-from convprune.dataset import INDEX_IMAGES_PER_INSTANCE, RetrievalDataset, generate_dataset
+from convprune.dataset import TRAINABLE_IMAGES_PER_INSTANCE, RetrievalDataset, generate_dataset
 from convprune.finetune import FinetuneConfig, sample_triplets, train_baseline
 from convprune.network import save_model, tinynet_architecture
 
@@ -72,12 +72,9 @@ def main(argv=None):
     if args.data:
         data_dir = Path(args.data)
     else:
-        # image 0 is the query and the next INDEX_IMAGES_PER_INSTANCE the index;
-        # training needs two more to form a positive pair
-        floor = 1 + INDEX_IMAGES_PER_INSTANCE + 2
-        if args.images < floor:
-            sys.exit(f"error: --images {args.images}: training needs at least {floor} "
-                     f"images per instance")
+        if args.images < TRAINABLE_IMAGES_PER_INSTANCE:
+            sys.exit(f"error: --images {args.images}: training needs at least "
+                     f"{TRAINABLE_IMAGES_PER_INSTANCE} images per instance")
         data_dir = out / "data"
         if not (data_dir / "manifest.json").exists():
             print(f"generating dataset ({args.instances}x{args.images}) at {data_dir}")
@@ -120,7 +117,7 @@ def main(argv=None):
         vals = acc[key]
         map_mean = sum(v[0] for v in vals) / len(vals)
         r4_mean = sum(v[1] for v in vals) / len(vals)
-        summary.append([*key, f"{map_mean:.6f}", f"{r4_mean:.6f}", len(vals)])
+        summary.append([*key, map_mean, r4_mean, len(vals)])
     container.write_csv(out / "summary.csv", summary)
     print(f"wrote {out / 'summary.csv'}")
 
@@ -138,7 +135,7 @@ def main(argv=None):
             sys.exit(f"error: {exc}")
         for layer_row in payload["layers"]:
             h1_rows.append([keep_text, layer_row["layer"], layer_row["total"],
-                            layer_row["remaining"], f"{layer_row['fraction']:.6f}"])
+                            layer_row["remaining"], layer_row["fraction"]])
     container.write_csv(out / "layer_fractions.csv",
                         [["keep_fraction", "layer", "total", "remaining", "fraction"], *h1_rows])
     print(f"wrote {out / 'layer_fractions.csv'}")

@@ -34,6 +34,9 @@ DATASET_FORMAT_VERSION = 1
 # to the index (so default datasets give every query exactly 4 relevant
 # items), the rest are training images.
 INDEX_IMAGES_PER_INSTANCE = 4
+# Training needs two more to form a positive pair: the fewest images per
+# instance of a generated dataset that fine-tunes (generation accepts 2).
+TRAINABLE_IMAGES_PER_INSTANCE = 1 + INDEX_IMAGES_PER_INSTANCE + 2
 
 
 class DatasetError(ValueError):
@@ -210,7 +213,8 @@ class RetrievalDataset:
     reads every image and holds it as its file stores it (`load_image_file`).
     A missing, unreadable or malformed manifest, or an image file that is
     missing, unreadable, malformed or not of the manifest's image shape,
-    raises DatasetError there."""
+    raises DatasetError there. `fingerprint` is the sha256 of the canonical
+    manifest JSON followed by each stored image's bytes, in item order."""
 
     def __init__(self, root: Path, manifest: dict):
         self.root = Path(root)
@@ -236,8 +240,7 @@ class RetrievalDataset:
         self.items = [_manifest_item(it) for it in items]
         self.relevant = {q: list(ids) for q, ids in relevant.items()}
         self._by_id = {it.item_id: it for it in self.items}
-        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
-        self.fingerprint = hashlib.sha256(manifest_bytes).hexdigest()
+        digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode())
         self._validate()
         self._images: dict[str, np.ndarray] = {}
         for it in self.items:
@@ -246,6 +249,8 @@ class RetrievalDataset:
                 raise DatasetError(f"item {it.item_id!r} has shape {stored.shape}, manifest "
                                    f"declares {self.image_shape}")
             self._images[it.item_id] = stored
+            digest.update(stored.tobytes())
+        self.fingerprint = digest.hexdigest()
 
     def _validate(self) -> None:
         if len(self._by_id) != len(self.items):

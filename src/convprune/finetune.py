@@ -34,6 +34,7 @@ class Triplet:
 
 
 MINING_MODES = ("random", "hard")
+HARD_POOL_SIZE = 32  # hard mining's random candidate pool of wrong-instance items
 
 
 @dataclass
@@ -104,13 +105,12 @@ def triplet_loss_op(dq: np.ndarray, dpos: np.ndarray, dneg: np.ndarray,
     k_neg = similarity_op(dq, dneg, tape)
     value = margin + float(k_neg) - float(k_pos)
     out = np.array(_hinge(value))
-    tape.record("triplet_hinge", (k_pos, k_neg), out,
-                {"active": bool(np.isfinite(value) and value > 0.0)})
+    tape.record("triplet_hinge", (k_pos, k_neg), out)
     return out
 
 
 def _hinge_backward(entry: TapeEntry, upstream: np.ndarray):
-    if not entry.ctx["active"]:
+    if not (np.isfinite(entry.output) and entry.output > 0.0):  # inactive or diverged
         z = np.zeros(())
         return z, z.copy()
     g = float(upstream)
@@ -125,13 +125,13 @@ register_backward("triplet_hinge", _hinge_backward)
 # ---------------------------------------------------------------------------
 
 def sample_triplets(dataset: RetrievalDataset, count: int, mode: str = "random",
-                    seed: int | list[int] = 0, descriptors: dict[str, Descriptor] | None = None,
-                    pool_size: int = 32) -> list[Triplet]:
+                    seed: int | list[int] = 0,
+                    descriptors: dict[str, Descriptor] | None = None) -> list[Triplet]:
     """Draw (query, positive, negative) id triples from the "train" split.
 
     Random mode picks everything uniformly; hard mode picks the negative as
     the most query-similar wrong-instance item among a random candidate pool
-    of `pool_size`, using the caller-supplied `descriptors`.
+    of `HARD_POOL_SIZE`, using the caller-supplied `descriptors`.
     """
     items = dataset.split("train")
     by_label: dict[int, list[str]] = {}
@@ -157,8 +157,8 @@ def sample_triplets(dataset: RetrievalDataset, count: int, mode: str = "random",
         if mode == "random":
             negative = others[rng.integers(0, len(others))]
         else:
-            pool_idx = rng.choice(len(others), size=min(pool_size, len(others)), replace=False)
-            pool = [others[i] for i in sorted(pool_idx)]
+            size = min(HARD_POOL_SIZE, len(others))
+            pool = [others[i] for i in sorted(rng.choice(len(others), size=size, replace=False))]
             # highest similarity wins; ties break by item id for determinism
             negative = max(pool, key=lambda i: (similarity(descriptors[query], descriptors[i]), i))
         triplets.append(Triplet(query=query, positive=positive, negative=negative))

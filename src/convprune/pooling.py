@@ -155,14 +155,15 @@ def rmac_pool(features: np.ndarray, grid: RoiGrid, tape: GradientTape | None = N
         total += maxima[:, i]
     values = total / n_regions
     if tape is not None:
-        tape.record("rmac_pool", (features,), values, {"argmax": argmax, "n_regions": n_regions})
+        # argmax stays on the tape: rebuilding it would cost a second gather
+        tape.record("rmac_pool", (features,), values, {"argmax": argmax})
     return Descriptor(values=values, kind="rmac", spatial=(w, h))
 
 
 def _rmac_backward(entry: TapeEntry, upstream: np.ndarray):
     (features,) = entry.inputs
-    argmax, n_regions = entry.ctx["argmax"], entry.ctx["n_regions"]
-    c, h, w = features.shape
+    argmax = entry.ctx["argmax"]
+    (c, h, w), n_regions = features.shape, argmax.shape[1]
     cells = h * w
     share = upstream / n_regions
     # bincount adds its weights in input order; region-major input routes each

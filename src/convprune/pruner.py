@@ -61,14 +61,22 @@ class PruneReport:
 
 
 def write_prune_csv(path: str | Path, layers: list[dict]) -> None:
-    """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row. A
-    `fraction` that is not a number (`report` reads rows from a file) raises."""
+    """CSV of `PruneReport.to_dict()["layers"]` rows plus an `all` totals row.
+    `report` reads the rows from a file, so a row raises ValueError unless its
+    `total` and `remaining` are integers with 0 <= remaining <= total and its
+    `fraction` is the float `LayerPruneRow.fraction` gives for them."""
+    for r in layers:
+        total, remaining, fraction = r["total"], r["remaining"], r["fraction"]
+        if not (container.is_int(remaining, 0) and container.is_int(total, remaining)
+                and isinstance(fraction, float)
+                and fraction == LayerPruneRow(r["layer"], 0, total, remaining).fraction):
+            raise ValueError(f"inconsistent prune row {r!r}")
     total = sum(r["total"] for r in layers)
     remaining = sum(r["remaining"] for r in layers)
     container.write_csv(path, [
         ["layer", "total", "remaining", "fraction"],
-        *([r["layer"], r["total"], r["remaining"], float(r["fraction"])] for r in layers),
-        ["all", total, remaining, remaining / total if total else 0.0]])
+        *([r["layer"], r["total"], r["remaining"], r["fraction"]] for r in layers),
+        ["all", total, remaining, LayerPruneRow("all", 0, total, remaining).fraction]])
 
 
 def select_threshold(salience: SalienceMap, keep_fraction: float,

@@ -73,30 +73,21 @@ def _similarity_rows(u: np.ndarray, nu: float, rows: np.ndarray) -> np.ndarray:
 
 
 def similarity_op(u: np.ndarray, v: np.ndarray, tape: GradientTape) -> np.ndarray:
-    """Tape-recorded normalized similarity of two descriptor vectors.
+    """Tape-recorded `similarity` of two descriptor vectors.
 
     Returns a 0-d array so the hinge loss can consume it on the same tape.
     """
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    degenerate = nu < ZERO_NORM_TOL or nv < ZERO_NORM_TOL
-    if degenerate:
-        warnings.warn("degenerate zero-norm descriptor; similarity defined as 0",
-                      RuntimeWarning, stacklevel=2)
-        k = 0.0
-    else:
-        k = float(u @ v) / (nu * nv)
-    out = np.array(k)
-    tape.record("similarity", (u, v), out,
-                {"nu": nu, "nv": nv, "k": k, "degenerate": degenerate})
+    out = np.array(similarity(u, v))
+    tape.record("similarity", (u, v), out)
     return out
 
 
 def _similarity_backward(entry: TapeEntry, upstream: np.ndarray):
     u, v = entry.inputs
-    if entry.ctx["degenerate"]:
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu < ZERO_NORM_TOL or nv < ZERO_NORM_TOL:
         return np.zeros_like(u), np.zeros_like(v)
-    nu, nv, k = entry.ctx["nu"], entry.ctx["nv"], entry.ctx["k"]
-    g = float(upstream)
+    k, g = float(entry.output), float(upstream)
     du = g * (v / (nu * nv) - k * u / (nu * nu))
     dv = g * (u / (nu * nv) - k * v / (nv * nv))
     return du, dv

@@ -39,8 +39,8 @@ class TapeEntry:
     """One recorded forward operation.
 
     `inputs` holds references to the exact arrays the op consumed (gradients
-    are accumulated per array identity), `ctx` whatever the backward rule
-    needs besides them (conv stride and padding, norms, argmax positions).
+    are accumulated per array identity), `ctx` only what the backward rule
+    cannot rebuild from them or `output` (conv stride and padding, argmax).
     `needs_grad[i]` is False when input i is a tape constant, whose gradient
     a backward rule may skip computing.
     """
@@ -80,11 +80,9 @@ class GradientTape:
         self._constants = {id(c): c for c in constants}
         self._replayed = False
 
-    def record(self, op: str, inputs: tuple, output: np.ndarray, ctx: dict | None = None) -> TapeEntry:
+    def record(self, op: str, inputs: tuple, output: np.ndarray, ctx: dict | None = None) -> None:
         needs_grad = tuple(id(a) not in self._constants for a in inputs)
-        entry = TapeEntry(op, inputs, output, ctx or {}, needs_grad)
-        self.entries.append(entry)
-        return entry
+        self.entries.append(TapeEntry(op, inputs, output, ctx or {}, needs_grad))
 
     def backward(self, output: np.ndarray, upstream: np.ndarray | None = None) -> None:
         """Seed the gradient at `output` and replay all entries in reverse,

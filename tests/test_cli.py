@@ -131,8 +131,16 @@ def test_evaluate_command_and_report(workspace):
     {"per_query_ap": {"q0": 1.0}, "query_count": 1},
     {"layers": [{"layer": "L0", "total": 4, "remaining": 2, "fraction": "half"}]},
     {"per_query_ap": {"q0": [1.0]}, "per_query_recall4": {}, "query_count": 1},
+    {"layers": [{"layer": "L0", "total": 4, "remaining": 2, "fraction": 0.9}]},
+    {"layers": [{"layer": "L0", "total": 4, "remaining": 5, "fraction": 1.25}]},
+    {"layers": [{"layer": "L0", "total": 4, "remaining": -1, "fraction": -0.25}]},
+    {"layers": [{"layer": "L0", "total": 4.0, "remaining": 2, "fraction": 0.5}]},
+    {"layers": [{"layer": "L0", "total": 0, "remaining": 0, "fraction": 1.0}]},
+    {"layers": [{"layer": "L0", "total": 4, "remaining": 4, "fraction": True}]},
 ], ids=["string", "prune-row-without-remaining", "eval-without-recall4",
-        "prune-fraction-not-a-number", "eval-ap-not-a-number"])
+        "prune-fraction-not-a-number", "eval-ap-not-a-number", "prune-fraction-not-the-ratio",
+        "prune-remaining-above-total", "prune-remaining-negative", "prune-total-not-an-integer",
+        "prune-empty-layer-fraction-not-zero", "prune-fraction-a-bool"])
 def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
     path = tmp_path / "bad_report.json"
     path.write_text(json.dumps(payload))

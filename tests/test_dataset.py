@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -159,6 +160,14 @@ def test_fingerprint_tracks_content(tmp_path):
     assert a.fingerprint != b.fingerprint
     reloaded = RetrievalDataset.load(tmp_path / "x")
     assert reloaded.fingerprint == a.fingerprint
+
+
+def test_fingerprint_covers_image_content(tmp_path):
+    ds = generate_dataset(tmp_path / "x", instances=2, images_per_instance=3, seed=0)
+    assert RetrievalDataset.load(tmp_path / "x").fingerprint == ds.fingerprint
+    tensors = tmp_path / "x" / "tensors"
+    shutil.copyfile(tensors / "i000_v1.cptn", tensors / "i000_v2.cptn")  # manifest unchanged
+    assert RetrievalDataset.load(tmp_path / "x").fingerprint != ds.fingerprint
 
 
 def test_generate_renames_the_manifest_into_place_last(tmp_path, monkeypatch):

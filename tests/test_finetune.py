@@ -14,7 +14,8 @@ from convprune.finetune import (FinetuneConfig, TrainingDiverged, Triplet, descr
                                 finetune, sample_triplets, sgd_batch_step, split_descriptors,
                                 train_baseline, triplet_gradients, triplet_loss,
                                 triplet_loss_op)
-from convprune.network import clone_model, compact_model, forward_features, init_network
+from convprune.network import (clone_model, compact_model, forward_features, init_network,
+                               tinynet_architecture)
 from convprune.pooling import sqp_pool
 from convprune.pruner import apply_pruning
 from convprune.retrieval import similarity
@@ -138,8 +139,7 @@ def test_hard_mining_picks_planted_negative(tmp_path):
             descriptors[it.item_id] = vec_with_cosine(0.99)
         else:
             descriptors[it.item_id] = vec_with_cosine(0.3)
-    triplets = sample_triplets(ds, 50, mode="hard", seed=1, descriptors=descriptors,
-                               pool_size=len(train))
+    triplets = sample_triplets(ds, 50, mode="hard", seed=1, descriptors=descriptors)
     for t in triplets:
         if ds.label_of(t.query) == q_label:
             assert t.negative == planted
@@ -295,6 +295,22 @@ def test_micro_pipeline_gradients_match_finite_differences():
     for idx, layer in model.conv_layers():
         assert rel_error(tape.gradient(layer.weights), fd_gradient(loss, layer.weights)) < 1e-5
         assert rel_error(tape.gradient(layer.bias), fd_gradient(loss, layer.bias)) < 1e-5
+
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_triplet_tape_records_only_what_backward_cannot_rebuild(pooling):
+    model = init_network(tinynet_architecture(), seed=0)
+    stack = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 3, 32, 32))
+    tape = GradientTape(constants=(stack,))
+    dq, dp, dn = descriptor_of(model, stack, pooling, tape=tape)
+    loss = triplet_loss_op(dq.values, dp.values, dn.values, 2.0, tape)  # margin 2: active
+    lean = {"conv2d": {"stride", "padding"}, "stack_item": {"index"}, "rmac_pool": {"argmax"}}
+    assert {e.op for e in tape.entries} == {"conv2d", "relu", "maxpool2", "stack_item",
+                                           f"{pooling}_pool", "similarity", "triplet_hinge"}
+    for entry in tape.entries:
+        assert set(entry.ctx) == lean.get(entry.op, set()), entry.op
+    tape.backward(loss)
+    assert all(tape.gradient(layer.weights) is not None for _, layer in model.conv_layers())
 
 
 # ---------------------------------------------------------------------------

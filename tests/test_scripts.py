@@ -1,6 +1,7 @@
 """The scripts under scripts/: the desk experiment's early checks and the
 verdicts of the paired benchmark comparison."""
 
+import csv
 import importlib.util
 import os
 import subprocess
@@ -87,6 +88,13 @@ def test_desk_experiment_layer_fractions_follow_the_h1_point_tags(tmp_path, caps
     rows = (out / "layer_fractions.csv").read_text().splitlines()
     assert rows[0] == "keep_fraction,layer,total,remaining,fraction"
     assert len(rows) > 1 and all(row.startswith("0.5,") for row in rows[1:])
+    point = ("heuristic", "keep_fraction", "pooling", "phase")
+    with open(out / "seed0" / "metrics.csv", newline="") as f:
+        maps = {tuple(row[k] for k in point): row["map"] for row in csv.DictReader(f)}
+    with open(out / "summary.csv", newline="") as f:
+        summary = list(csv.DictReader(f))
+    assert len(summary) == 2  # one seed: each mean prints as its seed's cell
+    assert all(row["map_mean"] == maps[tuple(row[k] for k in point)] for row in summary)
 
     (out / "layer_fractions.csv").unlink()
     assert desk.main([*args, "--heuristics", "h3", "--keep", "0.5"]) == 0
@@ -131,3 +139,29 @@ def test_bench_pairs_summary_verdicts(better, parent, change, verdict):
     summary = _script("bench_pairs").summarize(_pairs(parent, change), [spec])["m"]
     assert summary["verdict"] == verdict
     assert summary["pairs"] == 10
+
+
+TIER1_TAIL = """\
+........................................................................ [ 98%]
+.......F..                                                               [100%]
+============================= slowest 10 durations =============================
+33.60s call     tests/test_acceptance.py::test_c10_trend_holds
+22.41s setup    tests/test_acceptance.py::test_c09_pruned_vs_baseline[h1]
+0.50s teardown tests/test_cli.py::test_pipeline_rerun_byte_identical
+=========================== short test summary info ============================
+FAILED tests/test_cli.py::test_report_rejects_malformed_input_naming_the_file[x]
+1 failed, 536 passed, 2 errors in 83.50s (0:01:23)
+"""
+
+
+def test_bench_pairs_parses_the_tier1_tail():
+    parsed = _script("bench_pairs").parse_tier1(TIER1_TAIL)
+    assert (parsed["passed"], parsed["failed"], parsed["errors"]) == (536, 1, 2)
+    assert parsed["slowest"] == [
+        {"seconds": 33.6, "when": "call", "test": "tests/test_acceptance.py::test_c10_trend_holds"},
+        {"seconds": 22.41, "when": "setup",
+         "test": "tests/test_acceptance.py::test_c09_pruned_vs_baseline[h1]"},
+        {"seconds": 0.5, "when": "teardown",
+         "test": "tests/test_cli.py::test_pipeline_rerun_byte_identical"}]
+    assert _script("bench_pairs").parse_tier1("17 passed in 2.51s\n") == {
+        "passed": 17, "failed": 0, "errors": 0, "slowest": []}
