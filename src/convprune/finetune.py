@@ -478,6 +478,4 @@ def train_baseline(architecture: dict, dataset: RetrievalDataset,
                    config: FinetuneConfig, name: str = "baseline") -> NetworkModel:
     """Train the unpruned reference model from a fresh He init."""
     model = init_network(architecture, seed=config.seed, name=name)
-    trained, _ = finetune(model, dataset, config)
-    trained.meta["name"] = name
-    return trained
+    return finetune(model, dataset, config)[0]

@@ -24,7 +24,6 @@ from .tensor import ShapeError
 @dataclass
 class LayerPruneRow:
     name: str
-    layer_index: int
     total: int
     remaining: int
 
@@ -69,14 +68,14 @@ def write_prune_csv(path: str | Path, layers: list[dict]) -> None:
         total, remaining, fraction = r["total"], r["remaining"], r["fraction"]
         if not (container.is_int(remaining, 0) and container.is_int(total, remaining)
                 and isinstance(fraction, float)
-                and fraction == LayerPruneRow(r["layer"], 0, total, remaining).fraction):
+                and fraction == LayerPruneRow(r["layer"], total, remaining).fraction):
             raise ValueError(f"inconsistent prune row {r!r}")
     total = sum(r["total"] for r in layers)
     remaining = sum(r["remaining"] for r in layers)
     container.write_csv(path, [
         ["layer", "total", "remaining", "fraction"],
         *([r["layer"], r["total"], r["remaining"], r["fraction"]] for r in layers),
-        ["all", total, remaining, LayerPruneRow("all", 0, total, remaining).fraction]])
+        ["all", total, remaining, LayerPruneRow("all", total, remaining).fraction]])
 
 
 def select_threshold(salience: SalienceMap, keep_fraction: float,
@@ -131,33 +130,25 @@ def apply_pruning(model: NetworkModel, salience: SalienceMap,
     threshold, removal = select_threshold(salience, keep_fraction, masks)
 
     pruned = clone_model(model)
-    tie_count = 0
     for idx, layer in pruned.conv_layers():
-        to_remove = removal[idx]
-        flat_w = layer.weights.reshape(-1)
-        flat_m = layer.mask.reshape(-1)
-        flat_w[to_remove] = 0.0
-        flat_m[to_remove] = False
-        if np.isfinite(threshold):
-            live_scores = salience.scores[idx].reshape(-1)[masks[idx].reshape(-1)]
-            tie_count += int(np.count_nonzero(live_scores == threshold))
+        layer.weights.reshape(-1)[removal[idx]] = 0.0
+        layer.mask.reshape(-1)[removal[idx]] = False
     rows = layer_size_report(pruned).layers
-    unmasked_after = sum(r.remaining for r in rows)
-    achieved = unmasked_after / unmasked_before if unmasked_before else 0.0
-    report = PruneReport(heuristic=salience.heuristic, target_keep_fraction=keep_fraction,
-                         achieved_keep_fraction=achieved,
-                         threshold=threshold if np.isfinite(threshold) else None,
-                         tie_count=tie_count, layers=rows)
+    achieved = sum(r.remaining for r in rows) / unmasked_before if unmasked_before else 0.0
+    tie_count = sum(int(np.count_nonzero(salience.scores[idx][m] == threshold))
+                    for idx, m in masks.items())
     validate_masks(pruned)
-    return pruned, report
+    return pruned, PruneReport(heuristic=salience.heuristic, target_keep_fraction=keep_fraction,
+                               achieved_keep_fraction=achieved,
+                               threshold=threshold if np.isfinite(threshold) else None,
+                               tie_count=tie_count, layers=rows)
 
 
 def layer_size_report(model: NetworkModel) -> PruneReport:
     """Per-layer unmasked-weight fractions of the model as it stands."""
     rows = []
-    for conv_counter, (idx, layer) in enumerate(model.conv_layers()):
-        rows.append(LayerPruneRow(name=f"conv{conv_counter}", layer_index=idx,
-                                  total=int(layer.mask.size),
+    for conv_counter, (_, layer) in enumerate(model.conv_layers()):
+        rows.append(LayerPruneRow(name=f"conv{conv_counter}", total=int(layer.mask.size),
                                   remaining=int(layer.mask.sum())))
     total = sum(r.total for r in rows)
     remaining = sum(r.remaining for r in rows)

@@ -45,32 +45,18 @@ class _MomentAccumulator:
         n_b = flat.shape[1]
         mean_b = flat.mean(axis=1)
         m2_b = ((flat - mean_b[:, None]) ** 2).sum(axis=1)
-        abs_b = np.abs(flat).mean(axis=1)
-        self._merge(n_b, mean_b, m2_b, abs_b)
-
-    def _merge(self, n_b, mean_b, m2_b, abs_b) -> None:
-        if n_b == 0:
-            return
         n = self.count + n_b
         delta = mean_b - self.mean
         self.m2 = self.m2 + m2_b + delta ** 2 * (self.count * n_b / n)
         self.mean = self.mean + delta * (n_b / n)
-        self.abs_mean = self.abs_mean + (abs_b - self.abs_mean) * (n_b / n)
+        self.abs_mean = self.abs_mean + (np.abs(flat).mean(axis=1) - self.abs_mean) * (n_b / n)
         self.count = n
-
-    @property
-    def variance(self) -> np.ndarray:
-        """Population variance (divisor n)."""
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        return self.m2 / self.count
 
 
 @dataclass
 class LayerStats:
     mean_abs: np.ndarray   # [C_in] mean absolute activation
     variance: np.ndarray   # [C_in] population variance of the activation
-    position_count: int
 
 
 @dataclass
@@ -95,8 +81,7 @@ def collect_activation_stats(model: NetworkModel, images) -> ActivationStats:
             acc.update(activation)
     if n_images == 0:
         raise ValueError("activation statistics need at least one image")
-    layers = {idx: LayerStats(mean_abs=acc.abs_mean.copy(), variance=acc.variance,
-                              position_count=acc.count)
+    layers = {idx: LayerStats(mean_abs=acc.abs_mean, variance=acc.m2 / acc.count)
               for idx, acc in accumulators.items()}
     return ActivationStats(layers=layers, sample_count=n_images)
 

@@ -108,8 +108,7 @@ def test_h1_matches_elementwise_oracle_and_masks():
 
 def fabricated_stats(mean_abs, variance):
     return ActivationStats(layers={0: LayerStats(mean_abs=np.asarray(mean_abs, dtype=float),
-                                                 variance=np.asarray(variance, dtype=float),
-                                                 position_count=10)},
+                                                 variance=np.asarray(variance, dtype=float))},
                            sample_count=10)
 
 
@@ -165,8 +164,7 @@ def test_h3_h4_streaming_equals_batch_scores():
     stats_stream = collect_activation_stats(model, images)
     allv = np.concatenate([img.reshape(2, -1) for img in images], axis=1)
     stats_batch = ActivationStats(
-        layers={0: LayerStats(mean_abs=np.abs(allv).mean(axis=1), variance=allv.var(axis=1),
-                              position_count=allv.shape[1])},
+        layers={0: LayerStats(mean_abs=np.abs(allv).mean(axis=1), variance=allv.var(axis=1))},
         sample_count=len(images))
     for fn in (salience_h3, salience_h4):
         a = fn(model, stats_stream).scores[0]
