@@ -256,9 +256,10 @@ class RetrievalDataset:
         if len(self._by_id) != len(self.items):
             raise DatasetError("duplicate item ids in dataset manifest")
         index_ids = {it.item_id for it in self.split("index")}
+        query_ids = {it.item_id for it in self.split("query")}
         for qid, rel in self.relevant.items():
-            if qid not in self._by_id:
-                raise DatasetError(f"relevant table names unknown query {qid!r}")
+            if qid not in query_ids:
+                raise DatasetError(f"relevant table names {qid!r}, which is not a query item")
             if not rel:
                 raise DatasetError(f"query {qid!r} has an empty relevant set")
             if qid in rel:

@@ -10,6 +10,7 @@ when it is built.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,7 +245,19 @@ class EvalResult:
     mean_recall4: float | None = field(init=False)
 
     def __post_init__(self):
+        """Raise ValueError unless every AP is a real number in [0, 1], every
+        recall@4 count an integer in 0..4 keyed by a query with an AP, and
+        `query_count` the number of APs."""
+        for qid, ap in self.per_query_ap.items():
+            if isinstance(ap, bool) or not isinstance(ap, numbers.Real) or not 0.0 <= ap <= 1.0:
+                raise ValueError(f"query {qid!r}: AP {ap!r} is not a number in [0, 1]")
+        for qid, r in self.per_query_recall4.items():
+            if qid not in self.per_query_ap or not (container.is_int(r, 0) and r <= 4):
+                raise ValueError(f"query {qid!r}: recall@4 {r!r} is not an integer in 0..4 "
+                                 "of a query with an AP")
         aps = list(self.per_query_ap.values())
+        if not container.is_int(self.query_count) or self.query_count != len(aps):
+            raise ValueError(f"query_count {self.query_count!r} is not the {len(aps)} APs")
         self.mean_ap = float(np.mean(aps)) if aps else 0.0
         counts = list(self.per_query_recall4.values())
         self.mean_recall4 = float(np.mean(counts)) if counts else None

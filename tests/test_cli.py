@@ -137,10 +137,24 @@ def test_evaluate_command_and_report(workspace):
     {"layers": [{"layer": "L0", "total": 4.0, "remaining": 2, "fraction": 0.5}]},
     {"layers": [{"layer": "L0", "total": 0, "remaining": 0, "fraction": 1.0}]},
     {"layers": [{"layer": "L0", "total": 4, "remaining": 4, "fraction": True}]},
+    {"per_query_ap": {"q1": 1.0}, "per_query_recall4": {"q1": 4, "q9": 0}, "query_count": 7},
+    {"per_query_ap": {"q1": 7.5, "q2": -1}, "per_query_recall4": {"q1": 9}, "query_count": 2},
+    {"per_query_ap": {"q1": 1.5}, "per_query_recall4": {}, "query_count": 1},
+    {"per_query_ap": {"q1": -0.5}, "per_query_recall4": {}, "query_count": 1},
+    {"per_query_ap": {"q1": True}, "per_query_recall4": {}, "query_count": 1},
+    {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q9": 2}, "query_count": 1},
+    {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": 5}, "query_count": 1},
+    {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": -1}, "query_count": 1},
+    {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": 2.0}, "query_count": 1},
+    {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": 2}, "query_count": 3},
 ], ids=["string", "prune-row-without-remaining", "eval-without-recall4",
         "prune-fraction-not-a-number", "eval-ap-not-a-number", "prune-fraction-not-the-ratio",
         "prune-remaining-above-total", "prune-remaining-negative", "prune-total-not-an-integer",
-        "prune-empty-layer-fraction-not-zero", "prune-fraction-a-bool"])
+        "prune-empty-layer-fraction-not-zero", "prune-fraction-a-bool",
+        "eval-recall4-of-no-query-and-count-off", "eval-ap-and-recall4-out-of-range",
+        "eval-ap-above-one", "eval-ap-negative", "eval-ap-a-bool", "eval-recall4-of-no-query",
+        "eval-recall4-above-four", "eval-recall4-negative", "eval-recall4-not-an-integer",
+        "eval-query-count-not-the-ap-count"])
 def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
     path = tmp_path / "bad_report.json"
     path.write_text(json.dumps(payload))
@@ -519,6 +533,40 @@ def test_pipeline_rerun_byte_identical(workspace):
     a = (workspace / "rerun_a" / "metrics.csv").read_bytes()
     b = (workspace / "rerun_b" / "metrics.csv").read_bytes()
     assert a == b
+
+
+def test_sweep_writes_the_same_bytes_on_one_worker_and_on_two(workspace, monkeypatch):
+    """Every file but log.jsonl is byte-identical; model manifests are
+    compared without each history entry's wall_time and workers."""
+    from convprune import finetune as finetune_module
+    outs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(finetune_module, "_workers", lambda n, k=workers: k)
+        outs[workers] = workspace / f"workers_{workers}"
+        run_pipeline(ExperimentConfig(heuristics=["h1", "h2", "h3"], keep_fractions=[0.5, 0.1],
+                                      poolings=["rmac"], epochs=1, seed=4,
+                                      data=str(workspace / "data"),
+                                      model=str(workspace / "baseline"), out=str(outs[workers])))
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file() and p.name != "log.jsonl")
+
+    def manifest_without_timings(workers, rel):
+        manifest = json.loads((outs[workers] / rel).read_text())
+        history = manifest["metadata"]["history"]
+        assert history[-1]["workers"] == workers  # the point's own fine-tune epoch
+        for entry in history:
+            del entry["wall_time"], entry["workers"]
+        return manifest
+
+    assert files(outs[1]) == files(outs[2])
+    assert len(list((outs[1] / "models").iterdir())) == 6
+    for rel in files(outs[1]):
+        if rel.parts[0] == "models" and rel.name == MANIFEST_NAME:
+            assert manifest_without_timings(1, rel) == manifest_without_timings(2, rel), rel
+        else:
+            assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
 
 
 def test_pipeline_rerun_starts_a_fresh_log(workspace):

@@ -142,6 +142,9 @@ def test_manifest_validation_rejects_bad_relevance(tmp_path):
     manifest["relevant"] = {"i000_v0": ["i000_v0"]}  # self-relevance
     with pytest.raises(ValueError, match="itself"):
         RetrievalDataset(tmp_path / "ok", manifest)
+    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v1": ["i000_v2"]}  # index item
+    with pytest.raises(DatasetError, match="'i000_v1', which is not a query item"):
+        RetrievalDataset(tmp_path / "ok", manifest)
 
 
 def test_load_rejects_shape_mismatch(tmp_path):
@@ -315,7 +318,7 @@ def test_corrupted_dataset_loads_consistently_or_raises(target, truncate, where,
     splits = {it.item_id: it.split for it in loaded.items}
     assert len(splits) == len(loaded.items)
     for qid, rel in loaded.relevant.items():
-        assert qid in splits and rel and qid not in rel
+        assert splits.get(qid) == "query" and rel and qid not in rel
         assert all(splits[r] == "index" for r in rel)
 
 

@@ -238,6 +238,38 @@ def test_non_finite_loss_aborts_with_diagnostic(small_dataset, small_arch):
         finetune(model, small_dataset, FinetuneConfig(epochs=1, seed=0))
 
 
+@pytest.mark.parametrize("branch", ["inactive-hinge", "non-finite-gradient",
+                                    "no-training-images"])
+def test_inactive_hinge_and_untrainable_inputs(branch, small_dataset, small_model, tmp_path,
+                                               monkeypatch):
+    """An inactive hinge replayed on its tape sends back zero gradients; a
+    non-finite batch gradient and a dataset without a train split raise."""
+    if branch == "inactive-hinge":
+        tape = GradientTape()
+        q = np.array([1.0, 0.0])
+        loss = triplet_loss_op(q, vec_with_cosine(0.9), vec_with_cosine(0.1), 0.1, tape)
+        assert float(loss) == 0.0
+        tape.backward(loss)
+        assert np.array_equal(tape.gradient(q), np.zeros(2))
+    elif branch == "non-finite-gradient":
+        model = clone_model(small_model)
+        grads = {idx: (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+                 for idx, layer in model.conv_layers()}
+        grads[3][1][0] = np.inf
+        monkeypatch.setattr(finetune_module, "triplet_gradients",
+                            lambda *args: (grads, 1.0, 1))
+        triplet = sample_triplets(small_dataset, 1, seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient in batch 7, layer 3"):
+            sgd_batch_step(model, triplet, small_dataset, FinetuneConfig(), " in batch 7")
+    else:
+        rng = np.random.default_rng(0)
+        # 5 images per instance: one query and four index items, no train split
+        images = [[rng.uniform(size=(3, 32, 32)) for _ in range(5)] for _ in range(2)]
+        ds = build_dataset(tmp_path / "no_train", images)
+        with pytest.raises(ValueError, match="dataset has no training images"):
+            finetune(small_model, ds, FinetuneConfig(epochs=1))
+
+
 def test_hard_mining_epoch_runs(small_dataset, small_arch):
     model = init_network(small_arch, seed=7)
     cfg = FinetuneConfig(epochs=1, seed=0, mining="hard")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from convprune.network import init_network, tinynet_architecture, validate_masks
 from convprune.pruner import apply_pruning, layer_size_report, select_threshold
 from convprune.salience import SalienceMap, salience_h1
+from convprune.tensor import ShapeError
 
 
 def sort_oracle_removal(scores_by_layer, masks, keep_fraction):
@@ -65,6 +66,21 @@ def test_select_threshold_rejects_bad_fraction():
     for t in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             select_threshold(smap, t, masks)
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("missing", "no mask provided for conv layer 2"),
+    ("mis-shaped", "layer 2: mask shape"),
+])
+def test_select_threshold_rejects_masks_that_do_not_fit_the_scores(fault, match):
+    model = tiny_model()
+    masks = {idx: layer.mask for idx, layer in model.conv_layers()}
+    if fault == "missing":
+        del masks[2]
+    else:
+        masks[2] = masks[2][:1]
+    with pytest.raises(ShapeError, match=match):
+        select_threshold(salience_h1(model), 0.5, masks)
 
 
 @settings(max_examples=30, deadline=None)

@@ -105,6 +105,23 @@ def test_similarity_op_matches_and_gradchecks():
     assert rel_error(tape.gradient(v), gv_fd) < 1e-6
 
 
+
+@pytest.mark.parametrize("zero", ["u", "v", "both"])
+def test_similarity_op_of_a_zero_norm_vector_sends_back_zero_gradients(zero):
+    rng = np.random.default_rng(4)
+    u, v = rng.standard_normal(5), rng.standard_normal(5)
+    if zero in ("u", "both"):
+        u[:] = 0.0
+    if zero in ("v", "both"):
+        v[:] = 0.0
+    tape = GradientTape()
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        out = similarity_op(u, v, tape)
+    assert float(out) == 0.0
+    tape.backward(out)
+    assert np.array_equal(tape.gradient(u), np.zeros(5))
+    assert np.array_equal(tape.gradient(v), np.zeros(5))
+
 # ---------------------------------------------------------------------------
 # Index and ranking
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from convprune.finetune import Triplet, triplet_loss
 from convprune.network import forward_features, init_network
 from convprune.pooling import sqp_pool
+from convprune.pruner import apply_pruning
 from convprune.salience import (ActivationStats, LayerStats, collect_activation_stats,
                                 salience_h1, salience_h2, salience_h3, salience_h4)
 from convprune.tensor import ShapeError
@@ -153,6 +154,36 @@ def test_h3_rejects_mismatched_stats():
     model = init_network(one_conv_arch(c_in=2), seed=0)
     with pytest.raises(ShapeError, match="channels"):
         salience_h3(model, fabricated_stats([1.0], [1.0]))
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    ("map-missing-layer", ShapeError, "salience map missing conv layer 0"),
+    ("map-shape", ShapeError, "score shape"),
+    ("map-not-finite", ValueError, "finite and nonnegative"),
+    ("map-negative", ValueError, "finite and nonnegative"),
+    ("map-nonzero-at-masked", ValueError, "nonzero score at a masked position"),
+    ("stats-missing-layer", ShapeError, "activation stats missing conv layer 0"),
+])
+def test_salience_rejects_maps_and_stats_that_do_not_fit_the_model(fault, error, match):
+    base = init_network(one_conv_arch(c_in=2, c_out=2), seed=0)
+    model, _ = apply_pruning(base, salience_h1(base), 0.5)  # two of the four edges masked
+    smap = salience_h1(model)
+    scores = smap.scores
+    if fault == "map-missing-layer":
+        del scores[0]
+    elif fault == "map-shape":
+        scores[0] = scores[0][:1]
+    elif fault == "map-not-finite":
+        scores[0][model.layers[0].mask] = np.inf
+    elif fault == "map-negative":
+        scores[0][model.layers[0].mask] = -1.0
+    elif fault == "map-nonzero-at-masked":
+        scores[0][~model.layers[0].mask] = 1.0
+    with pytest.raises(error, match=match):
+        if fault == "stats-missing-layer":
+            salience_h3(model, ActivationStats(layers={}, sample_count=1))
+        else:
+            apply_pruning(model, smap, 0.5)
 
 
 def test_h3_h4_streaming_equals_batch_scores():
