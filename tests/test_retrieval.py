@@ -105,7 +105,6 @@ def test_similarity_op_matches_and_gradchecks():
     assert rel_error(tape.gradient(v), gv_fd) < 1e-6
 
 
-
 @pytest.mark.parametrize("zero", ["u", "v", "both"])
 def test_similarity_op_of_a_zero_norm_vector_sends_back_zero_gradients(zero):
     rng = np.random.default_rng(4)
@@ -121,6 +120,7 @@ def test_similarity_op_of_a_zero_norm_vector_sends_back_zero_gradients(zero):
     tape.backward(out)
     assert np.array_equal(tape.gradient(u), np.zeros(5))
     assert np.array_equal(tape.gradient(v), np.zeros(5))
+
 
 # ---------------------------------------------------------------------------
 # Index and ranking
