@@ -38,9 +38,6 @@ class ExperimentConfig:
     # fine-tune settings: the defaults and the validation are FinetuneConfig's
     epochs: int = FinetuneConfig.epochs
     margin: float = FinetuneConfig.margin
-    learning_rate: float = FinetuneConfig.learning_rate
-    batch_size: int = FinetuneConfig.batch_size
-    mining: str = FinetuneConfig.mining
     seed: int = FinetuneConfig.seed
     data: str = ""
     model: str = ""

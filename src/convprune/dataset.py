@@ -264,9 +264,14 @@ class RetrievalDataset:
                 raise DatasetError(f"query {qid!r} has an empty relevant set")
             if qid in rel:
                 raise DatasetError(f"query {qid!r} lists itself as relevant")
+            if len(set(rel)) != len(rel):
+                raise DatasetError(f"query {qid!r} lists a relevant item more than once")
             for rid in rel:
                 if rid not in index_ids:
                     raise DatasetError(f"query {qid!r} lists non-index item {rid!r} as relevant")
+                if self.label_of(rid) != self.label_of(qid):
+                    raise DatasetError(f"query {qid!r} lists item {rid!r} of another instance "
+                                       "as relevant")
         for it in self.split("query"):
             if it.item_id not in self.relevant:
                 raise DatasetError(f"query {it.item_id!r} has no relevant entry")

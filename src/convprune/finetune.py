@@ -390,8 +390,7 @@ def triplet_gradients(model: NetworkModel, triplets, dataset: RetrievalDataset, 
             active += 1
             for (idx, _), pair in zip(conv_layers, layer_grads):
                 for acc, g in zip(grads[idx], pair):
-                    if g is not None:
-                        acc += g
+                    acc += g
     finally:
         results.close()
     return grads, loss_sum, active

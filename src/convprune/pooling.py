@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,16 @@ class Descriptor:
             raise ValueError(f"unknown pooling kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoiGrid:
-    """Rectangular regions (x0, y0, width, height) in feature-map coordinates."""
+    """Rectangular regions (x0, y0, width, height) in a width x height map, and
+    `positions`: per region, in grid order, the flat row-major positions of its
+    cells, padded to the largest region with its first cell (which moves neither
+    its max nor where the first max in scan order sits)."""
     regions: list[tuple[int, int, int, int]]
-    levels: int
     width: int
     height: int
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.regions) < 1:
@@ -53,6 +56,14 @@ class RoiGrid:
                 raise ValueError(f"empty region {r}")
             if x0 < 0 or y0 < 0 or x0 + w > self.width or y0 + h > self.height:
                 raise ValueError(f"region {r} outside {self.width}x{self.height} map")
+        positions = np.empty((len(self.regions), max(w * h for _, _, w, h in self.regions)),
+                             dtype=np.intp)
+        for i, (x0, y0, w, h) in enumerate(self.regions):
+            cells = (np.arange(y0, y0 + h)[:, None] * self.width + np.arange(x0, x0 + w)).ravel()
+            positions[i, :cells.size] = cells
+            positions[i, cells.size:] = cells[0]
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
 
 
 def _axis_positions(extent: int, side: int) -> list[int]:
@@ -91,7 +102,7 @@ def rmac_grid(width: int, height: int, levels: int = 3) -> RoiGrid:
                 if r not in seen:
                     seen.add(r)
                     regions.append(r)
-    return RoiGrid(regions=regions, levels=levels, width=width, height=height)
+    return RoiGrid(regions=regions, width=width, height=height)
 
 
 def sqp_pool(features: np.ndarray, tape: GradientTape | None = None) -> Descriptor:
@@ -116,34 +127,15 @@ def _sqp_backward(entry: TapeEntry, upstream: np.ndarray):
     return (features * (upstream / denom)[:, None, None],)
 
 
-@functools.lru_cache(maxsize=64)
-def _region_positions(regions: tuple, height: int, width: int) -> np.ndarray:
-    """[R, P] flat row-major positions of each region's cells in a height x
-    width map, one row per region in grid order. Rows shorter than the
-    largest region are padded with the region's first position, which
-    changes neither its max nor where the first max in scan order sits."""
-    for r in regions:
-        x0, y0, rw, rh = r
-        if x0 < 0 or y0 < 0 or x0 + rw > width or y0 + rh > height:
-            raise ShapeError(f"region {r} out of bounds for {width}x{height} feature maps")
-    size = max(rw * rh for _, _, rw, rh in regions)
-    positions = np.empty((len(regions), size), dtype=np.intp)
-    for i, (x0, y0, rw, rh) in enumerate(regions):
-        cells = (np.arange(y0, y0 + rh)[:, None] * width + np.arange(x0, x0 + rw)).ravel()
-        positions[i, :cells.size] = cells
-        positions[i, cells.size:] = cells[0]
-    positions.flags.writeable = False
-    return positions
-
-
 def rmac_pool(features: np.ndarray, grid: RoiGrid, tape: GradientTape | None = None) -> Descriptor:
     """Max over each grid region, averaged over regions, per channel."""
     _require_f64("features", features)
     if features.ndim != 3:
         raise ShapeError(f"features must be rank 3 [C,H,W], got shape {features.shape}")
     c, h, w = features.shape
-    positions = _region_positions(tuple(tuple(r) for r in grid.regions), h, w)
-    n_regions = positions.shape[0]
+    if (w, h) != (grid.width, grid.height):
+        raise ShapeError(f"{w}x{h} feature maps do not fit a {grid.width}x{grid.height} grid")
+    positions, n_regions = grid.positions, len(grid.regions)
     flat = features.reshape(c, h * w)
     # [C, R]: flat position of each region's first max in row-major region scan
     argmax = positions[np.arange(n_regions), flat[:, positions].argmax(axis=2)]

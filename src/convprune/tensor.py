@@ -55,7 +55,8 @@ _BACKWARD_FNS: dict = {}
 
 
 def register_backward(op: str, fn) -> None:
-    """Register the backward rule for an op name (used by other modules)."""
+    """Register the backward rule for an op name (used by other modules):
+    `fn(entry, upstream)` returns a tuple of one gradient, or None, per input."""
     _BACKWARD_FNS[op] = fn
 
 
@@ -107,8 +108,6 @@ class GradientTape:
             except KeyError:
                 raise KeyError(f"no backward rule registered for op {entry.op!r}") from None
             input_grads = backward_fn(entry, held[1])
-            if not isinstance(input_grads, tuple):
-                input_grads = (input_grads,)
             for arr, ig, needed in zip(entry.inputs, input_grads, entry.needs_grad):
                 if ig is None or not needed:
                     continue

@@ -39,6 +39,16 @@ def test_tensor_file_rejects_bad_magic(tmp_path):
         load_tensor(path)
 
 
+def test_tensor_file_rejects_unsupported_version(tmp_path):
+    path = tmp_path / "t.cptn"
+    save_tensor(np.ones(3), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<H", raw, 4, 2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError, match="unsupported tensor format version 2"):
+        load_tensor(path)
+
+
 def test_tensor_file_rejects_truncation(tmp_path):
     path = tmp_path / "t.cptn"
     save_tensor(np.ones((2, 3)), path)
@@ -145,6 +155,13 @@ def test_manifest_validation_rejects_bad_relevance(tmp_path):
     manifest["relevant"] = {**ds.manifest["relevant"], "i000_v1": ["i000_v2"]}  # index item
     with pytest.raises(DatasetError, match="'i000_v1', which is not a query item"):
         RetrievalDataset(tmp_path / "ok", manifest)
+    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v0": ["i000_v1", "i000_v1",
+                                                                    "i000_v2"]}
+    with pytest.raises(DatasetError, match="more than once"):
+        RetrievalDataset(tmp_path / "ok", manifest)
+    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v0": ["i001_v1", "i001_v2"]}
+    with pytest.raises(DatasetError, match="'i001_v1' of another instance"):
+        RetrievalDataset(tmp_path / "ok", manifest)
 
 
 def test_load_rejects_shape_mismatch(tmp_path):
@@ -227,6 +244,7 @@ def _item_update(**changes):
     lambda m: m["items"][0].pop("path"), _set("relevant", []), _drop("relevant"),
     _set("relevant", {"i000_v0": "i000_v1"}), _set("relevant", {"i000_v0": [1]}),
     _set("relevant", {"nobody": ["i000_v1"]}), lambda m: m["relevant"].pop("i000_v0"),
+    lambda m: m["items"].append(dict(m["items"][1])),
 ])
 def test_malformed_manifest_raises_dataset_error(tmp_path, corrupt):
     manifest = _tiny_dataset(tmp_path).manifest

@@ -124,6 +124,18 @@ def test_sampling_rejects_no_positive_pairs(tmp_path):
         sample_triplets(ds, 5)
 
 
+def test_sampling_resamples_a_query_without_a_positive(tmp_path):
+    rng = np.random.default_rng(0)
+    # instance 2 has 6 images: one query, four index items, one training image
+    images = [[rng.uniform(size=(1, 4, 4)) for _ in range(n)] for n in (8, 8, 6)]
+    ds = build_dataset(tmp_path / "d", images)
+    train_counts = {l: len([i for i in ds.split("train") if i.label == l]) for l in range(3)}
+    assert train_counts == {0: 3, 1: 3, 2: 1}
+    triplets = sample_triplets(ds, 50, seed=5)
+    assert all(train_counts[ds.label_of(t.query)] >= 2 for t in triplets)
+    assert triplets == sample_triplets(ds, 50, seed=5)
+
+
 def test_hard_mining_picks_planted_negative(tmp_path):
     ds = fake_dataset(tmp_path / "d", n_instances=6)
     train = ds.split("train")

@@ -285,6 +285,26 @@ def test_load_rejects_missing_tensor(tmp_path):
         load_model(str(path))
 
 
+def _first_tensor(**changes):
+    return lambda m: {**m, "tensors": [{**m["tensors"][0], **changes}] + m["tensors"][1:]}
+
+
+@pytest.mark.parametrize("replace,match", [
+    (lambda m: [m], "not a JSON object"),
+    (lambda m: {**m, "tensors": {t["name"]: t for t in m["tensors"]}}, "not a list"),
+    (lambda m: {**m, "tensors": m["tensors"] + m["tensors"][:1]}, "listed twice"),
+    (_first_tensor(shape=[3, "2", 3, 3]), "malformed tensor index entry"),
+    (_first_tensor(nbytes=4), "declares 4 bytes"),
+], ids=["list-manifest", "dict-index", "tensor-twice", "string-dim", "nbytes-off"])
+def test_load_rejects_malformed_tensor_index(tmp_path, replace, match):
+    path = tmp_path / "model"
+    save_model(init_network(small_arch(), seed=5), str(path))
+    manifest = json.loads((path / "manifest.json").read_text())
+    (path / "manifest.json").write_text(json.dumps(replace(manifest)))
+    with pytest.raises(IntegrityError, match=match):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("name,replacement", [
     ("layers.3.bias", np.zeros((4, 4))),
     ("layers.0.mask", np.ones((3, 2, 3, 3))),

@@ -166,9 +166,9 @@ def test_grid_regions_always_in_bounds(width, height, levels):
 
 def test_grid_validates_bounds():
     with pytest.raises(ValueError, match="outside"):
-        RoiGrid(regions=[(0, 0, 5, 5)], levels=1, width=4, height=4)
+        RoiGrid(regions=[(0, 0, 5, 5)], width=4, height=4)
     with pytest.raises(ValueError, match="empty"):
-        RoiGrid(regions=[(0, 0, 0, 2)], levels=1, width=4, height=4)
+        RoiGrid(regions=[(0, 0, 0, 2)], width=4, height=4)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +185,21 @@ def test_rmac_constant_map():
 def test_rmac_single_region_is_global_max():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 5, 5))
-    grid = RoiGrid(regions=[(0, 0, 5, 5)], levels=1, width=5, height=5)
+    grid = RoiGrid(regions=[(0, 0, 5, 5)], width=5, height=5)
     assert np.array_equal(rmac_pool(x, grid).values, x.reshape(4, -1).max(axis=1))
 
 
 def test_rmac_matches_region_scan_oracle():
     rng = np.random.default_rng(4)
-    grid = RoiGrid(regions=[(0, 0, 2, 3), (1, 1, 3, 2)], levels=1, width=4, height=4)
+    grid = RoiGrid(regions=[(0, 0, 2, 3), (1, 1, 3, 2)], width=4, height=4)
     for _ in range(20):
         x = rng.standard_normal((1, 4, 4))
         assert rel_error(rmac_pool(x, grid).values, naive_rmac(x, grid.regions)) < 1e-12
 
 
 def test_rmac_rejects_out_of_bounds_region():
-    grid = RoiGrid(regions=[(0, 0, 4, 4)], levels=1, width=4, height=4)
-    with pytest.raises(ShapeError, match="out of bounds"):
+    grid = RoiGrid(regions=[(0, 0, 4, 4)], width=4, height=4)
+    with pytest.raises(ShapeError, match="3x3 feature maps do not fit a 4x4 grid"):
         rmac_pool(np.zeros((1, 3, 3)), grid)
 
 

@@ -407,6 +407,31 @@ def test_tape_backward_rejects_unknown_output():
         tape.backward(np.zeros((1, 1, 1)))
 
 
+def test_tape_backward_rejects_upstream_of_another_shape():
+    tape = GradientTape()
+    out = conv2d_forward(np.ones((1, 2, 2)), np.ones((1, 1, 2, 2)), np.zeros(1), tape=tape)
+    with pytest.raises(ShapeError, match="upstream gradient shape"):
+        tape.backward(out, upstream=np.ones((1, 2, 2)))
+
+
+def test_tape_backward_rejects_op_without_rule():
+    x = np.ones(3)
+    tape = GradientTape()
+    tape.record("op_without_rule", (x,), x * 2.0)
+    with pytest.raises(KeyError, match="no backward rule registered for op 'op_without_rule'"):
+        tape.backward(tape.entries[0].output)
+
+
+def test_tape_backward_rejects_gradient_of_another_shape():
+    from convprune.tensor import register_backward
+    register_backward("wrong_shape_grad", lambda entry, g: (np.zeros(2),))
+    x = np.ones(3)
+    tape = GradientTape()
+    tape.record("wrong_shape_grad", (x,), x * 2.0)
+    with pytest.raises(ShapeError, match="produced gradient of shape"):
+        tape.backward(tape.entries[0].output)
+
+
 def test_gradient_buffer_shapes_match():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((2, 4, 4))
