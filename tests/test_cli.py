@@ -401,8 +401,10 @@ def test_report_writers_replace_atomically(writer, workspace, tmp_path, monkeypa
     assert [p.name for p in out.iterdir()] == ["report"]
 
 
-@pytest.mark.parametrize("bad", [{"epochs": 0}, {"margin": 0.0}, {"margin": float("inf")},
-                                 {"margin": True}, {"margin": "0.1"}])
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"margin": 0.0}, {"epochs": -1},
+                                 {"margin": -0.2}, {"margin": float("nan")},
+                                 {"margin": float("inf")}, {"margin": True}, {"margin": "0.1"},
+                                 {"margin": None}])
 def test_experiment_config_rejects_bad_finetune_settings(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
