@@ -91,9 +91,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _descriptor_index(dataset, descriptors: dict) -> retrieval.DescriptorIndex:
-    entries = [retrieval.IndexEntry(iid, d, dataset.label_of(iid))
-               for iid, d in sorted(descriptors.items())]
-    return retrieval.DescriptorIndex(entries=entries)
+    return retrieval.DescriptorIndex([retrieval.IndexEntry(iid, d, dataset.label_of(iid))
+                                      for iid, d in descriptors.items()])
 
 
 def evaluate_model(model, dataset, pooling: str,
@@ -236,8 +235,11 @@ def cmd_report(args) -> int:
         if "layers" in payload:  # prune report
             pruner.write_prune_csv(out, payload["layers"])
         elif "per_query_ap" in payload:  # eval result
-            retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
-                                 payload["query_count"]).write_csv(out)
+            result = retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
+                                          payload["query_count"])
+            if (payload["mean_ap"], payload["recall4"]) != (result.mean_ap, result.mean_recall4):
+                raise ValueError("mean_ap or recall4 is not the mean of its per-query values")
+            result.write_csv(out)
         else:
             raise ValueError("no 'layers' or 'per_query_ap' key")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -254,10 +256,11 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
 
     Before it creates `out`, checks that the baseline takes the dataset's
-    images and that the train split can form triplets. Rewrites metrics.csv atomically after each row, and the JSON-lines event
-    log (each `finetuned` event with its epoch log, whose entries carry the
-    worker count) after each event, so partial results survive a failure;
-    models and per-point prune reports land next to them.
+    images and that the train split can form triplets. Rewrites metrics.csv
+    atomically after each row, and the JSON-lines event log (each
+    `finetuned` event with its epoch log, whose entries carry the worker
+    count) after each event, so partial results survive a failure; models
+    and per-point prune reports land next to them.
     """
     if not cfg.data or not cfg.model or not cfg.out:
         raise ValueError("pipeline needs data, model, and out paths")

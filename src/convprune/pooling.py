@@ -29,7 +29,6 @@ class Descriptor:
     """Pooled global descriptor: one value per source feature map."""
     values: np.ndarray          # [C] float64
     kind: str                   # "sqp" | "rmac"
-    spatial: tuple[int, int]    # (W, H) of the source feature maps
 
     def __post_init__(self):
         if self.kind not in POOLING_KINDS:
@@ -116,7 +115,7 @@ def sqp_pool(features: np.ndarray, tape: GradientTape | None = None) -> Descript
     values = np.sqrt(np.mean(features.reshape(c, -1) ** 2, axis=1))
     if tape is not None:
         tape.record("sqp_pool", (features,), values, {})
-    return Descriptor(values=values, kind="sqp", spatial=(w, h))
+    return Descriptor(values=values, kind="sqp")
 
 
 def _sqp_backward(entry: TapeEntry, upstream: np.ndarray):
@@ -149,7 +148,7 @@ def rmac_pool(features: np.ndarray, grid: RoiGrid, tape: GradientTape | None = N
     if tape is not None:
         # argmax stays on the tape: rebuilding it would cost a second gather
         tape.record("rmac_pool", (features,), values, {"argmax": argmax})
-    return Descriptor(values=values, kind="rmac", spatial=(w, h))
+    return Descriptor(values=values, kind="rmac")
 
 
 def _rmac_backward(entry: TapeEntry, upstream: np.ndarray):

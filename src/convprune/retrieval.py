@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,58 +108,45 @@ class IndexEntry:
     label: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescriptorIndex:
-    """An immutable set of descriptors to rank against.
+    """An immutable set of descriptors to rank against, built from `IndexEntry`
+    records: their ids in item-id order, their labels in the same order, the
+    read-only [N, C] `matrix` of their values with one row per id, and their
+    pooling `kind` (None when empty). `save` and `load` keep an index in one
+    container (`container.write_container`)."""
+    entries: InitVar[list[IndexEntry]]
+    ids: tuple[str, ...] = field(init=False)
+    labels: tuple[int, ...] = field(init=False)
+    matrix: np.ndarray = field(init=False, repr=False)
+    kind: str | None = field(init=False)
 
-    Construction validates the entries and stacks their values, in item-id
-    order, into the read-only [N, C] `matrix` whose rows `ids` names. `save`
-    and `load` keep an index in one container (`container.write_container`).
-    """
-    entries: tuple[IndexEntry, ...]
-    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        ids = [e.item_id for e in entries]
+    def __post_init__(self, entries):
+        by_id = sorted(entries, key=lambda e: e.item_id)
+        ids = tuple(e.item_id for e in by_id)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate item ids in index")
-        for e in entries:
-            first = entries[0].descriptor
-            if e.descriptor.kind != first.kind:
-                raise ValueError(f"index mixes pooling kinds ({first.kind} and {e.descriptor.kind})")
+        kind = by_id[0].descriptor.kind if by_id else None
+        matrix = np.empty((len(by_id), by_id[0].descriptor.values.size if by_id else 0))
+        for row, e in zip(matrix, by_id):
+            if e.descriptor.kind != kind:
+                raise ValueError(f"index mixes pooling kinds ({kind} and {e.descriptor.kind})")
             if e.descriptor.values.ndim != 1:
                 raise ValueError(f"descriptor {e.item_id} is not a vector")
-            if e.descriptor.values.shape != first.values.shape:
+            if e.descriptor.values.shape != row.shape:
                 raise ValueError("index mixes descriptor lengths")
-            if tuple(e.descriptor.spatial) != tuple(first.spatial):
-                raise ValueError(f"index mixes spatial sizes ({first.spatial} and "
-                                 f"{e.descriptor.spatial})")
-        length = entries[0].descriptor.values.shape[0] if entries else 0
-        by_id = sorted(entries, key=lambda e: e.item_id)
-        matrix = np.array([e.descriptor.values for e in by_id], dtype=np.float64).reshape(
-            len(by_id), length)
+            row[:] = e.descriptor.values
         matrix.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "ids", tuple(e.item_id for e in by_id))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", tuple(e.label for e in by_id))
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def kind(self) -> str | None:
-        return self.entries[0].descriptor.kind if self.entries else None
-
-    def labels(self) -> dict[str, int]:
-        return {e.item_id: e.label for e in self.entries}
+        object.__setattr__(self, "kind", kind)
 
     def save(self, path: str | Path) -> None:
         """Write the index as one container: the float32 `[N, C]` matrix as
-        tensor `descriptors`, and pooling, spatial `[W, H]`, ids and labels
-        (in id order) in the manifest."""
-        labels = self.labels()
-        spatial = list(self.entries[0].descriptor.spatial) if self.entries else None
-        payload = {"kind": "descriptor_index", "pooling": self.kind, "spatial": spatial,
-                   "ids": list(self.ids), "labels": [labels[i] for i in self.ids]}
+        tensor `descriptors`, and pooling, ids and labels in the manifest."""
+        payload = {"kind": "descriptor_index", "pooling": self.kind,
+                   "ids": list(self.ids), "labels": list(self.labels)}
         container.write_container(path, payload, [("descriptors", self.matrix)])
 
     @classmethod
@@ -183,17 +170,13 @@ class DescriptorIndex:
         if (set(tensors) != {"descriptors"} or matrix.dtype != np.float64
                 or matrix.ndim != 2 or matrix.shape[0] != len(ids)):
             fail(f"expected one [{len(ids)}, C] f32 tensor 'descriptors', got {sorted(tensors)}")
-        pooling, spatial = manifest.get("pooling"), manifest.get("spatial")
-        if ids:
-            if pooling not in POOLING_KINDS:
-                fail(f"unknown pooling kind {pooling!r}")
-            if not (isinstance(spatial, list) and len(spatial) == 2
-                    and all(container.is_int(s, 1) for s in spatial)):
-                fail(f"spatial must be [W, H] positive integers, got {spatial!r}")
-            if not np.all(np.isfinite(matrix)):
-                fail("non-finite descriptor values")
-        return cls(entries=[IndexEntry(i, Descriptor(row, pooling, tuple(spatial)), label)
-                            for i, row, label in zip(ids, matrix, labels)])
+        pooling = manifest.get("pooling")
+        if pooling not in (POOLING_KINDS if ids else (None,)):
+            fail(f"pooling kind {pooling!r} does not fit {len(ids)} ids (null exactly when none)")
+        if not np.all(np.isfinite(matrix)):
+            fail("non-finite descriptor values")
+        return cls([IndexEntry(i, Descriptor(row, pooling), label)
+                    for i, row, label in zip(ids, matrix, labels)])
 
 
 def rank(query: Descriptor, index: DescriptorIndex, exclude_id: str | None = None) -> list[str]:
@@ -202,7 +185,7 @@ def rank(query: Descriptor, index: DescriptorIndex, exclude_id: str | None = Non
     Ties break by item id ascending; `exclude_id` (normally the query's own
     id) is dropped from the ranking.
     """
-    if not index.entries:
+    if not index.ids:
         return []
     if isinstance(query, Descriptor) and query.kind != index.kind:
         raise ValueError(f"pooling kinds differ: {query.kind} vs {index.kind}")

@@ -148,6 +148,10 @@ def test_evaluate_command_and_report(workspace):
     {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": 2.0}, "query_count": 1},
     {"per_query_ap": {"q1": 0.5}, "per_query_recall4": {"q1": 2}, "query_count": 3},
     {"rows": []},
+    {"mean_ap": 0.9, "recall4": 1.0, "query_count": 1, "per_query_ap": {"q1": 0.5},
+     "per_query_recall4": {"q1": 1}},
+    {"mean_ap": 0.5, "recall4": 3.5, "query_count": 1, "per_query_ap": {"q1": 0.5},
+     "per_query_recall4": {"q1": 1}},
 ], ids=["string", "prune-row-without-remaining", "eval-without-recall4",
         "prune-fraction-not-a-number", "eval-ap-not-a-number", "prune-fraction-not-the-ratio",
         "prune-remaining-above-total", "prune-remaining-negative", "prune-total-not-an-integer",
@@ -155,7 +159,8 @@ def test_evaluate_command_and_report(workspace):
         "eval-recall4-of-no-query-and-count-off", "eval-ap-and-recall4-out-of-range",
         "eval-ap-above-one", "eval-ap-negative", "eval-ap-a-bool", "eval-recall4-of-no-query",
         "eval-recall4-above-four", "eval-recall4-negative", "eval-recall4-not-an-integer",
-        "eval-query-count-not-the-ap-count", "object-without-layers-or-ap"])
+        "eval-query-count-not-the-ap-count", "object-without-layers-or-ap",
+        "eval-mean-ap-not-the-ap-mean", "eval-recall4-not-the-recall-mean"])
 def test_report_rejects_malformed_input_naming_the_file(payload, tmp_path):
     path = tmp_path / "bad_report.json"
     path.write_text(json.dumps(payload))
@@ -293,8 +298,8 @@ def test_descriptor_index_roundtrip(workspace, tmp_path):
                  "--pooling", "sqp", "--out", str(tmp_path / "desc")]) == 0
     index = DescriptorIndex.load(tmp_path / "desc")
     assert index.kind == "sqp"
-    assert len(index.entries) == 24  # 6 instances x 4 index images
-    assert index.labels()["i000_v1"] == 0
+    assert len(index.ids) == len(index.labels) == 24  # 6 instances x 4 index images
+    assert index.labels[index.ids.index("i000_v1")] == 0
 
 
 def test_experiment_config_validation(tmp_path):

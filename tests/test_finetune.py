@@ -659,7 +659,7 @@ def test_split_descriptors_bitwise_serial_for_every_worker_count(small_dataset, 
         assert list(descs) == [it.item_id for it in items]
         for got, want in zip(descs.values(), serial):
             assert np.array_equal(got.values, want.values)
-            assert (got.kind, got.spatial) == (want.kind, want.spatial)
+            assert got.kind == want.kind
 
 
 @pytest.mark.parametrize("bad_share", [0, 1])

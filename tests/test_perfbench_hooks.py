@@ -93,3 +93,20 @@ def test_traced_mini_sweep_reaches_every_sweep_wrapper(monkeypatch, tmp_path):
     missing = [name for name in workloads.EXPECTED_CALLS["sweep"]
                if summary.get(name, {}).get("calls", 0) == 0]
     assert not missing
+
+
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_composed_retrieval_matches_evaluate_model(pooling, monkeypatch, tmp_path):
+    """The benchmark's retrieval metrics come from `composed_retrieval`,
+    which builds its own `IndexEntry` list and `DescriptorIndex`. On a 3x7
+    dataset and an untrained tinynet it indexes every index image, times
+    every query and scores exactly `evaluate_model`'s mAP."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module("convprune.cli")
+    data = generate_dataset(tmp_path / "data", instances=3, images_per_instance=7, seed=3)
+    model = init_network(tinynet_architecture(), seed=0)
+    result = workloads.composed_retrieval(model, data, pooling)
+    assert result["index_images"] == len(data.split("index"))
+    assert len(result["query_s"]) == len(data.split("query"))
+    assert result["map"] == cli.evaluate_model(model, data, pooling).mean_ap

@@ -75,7 +75,6 @@ def test_sqp_constant_map():
         d = sqp_pool(np.full((3, 4, 4), a))
         assert np.allclose(d.values, abs(a), atol=1e-15)
     assert d.kind == "sqp"
-    assert d.spatial == (4, 4)
 
 
 def test_sqp_direct_value():
@@ -296,9 +295,6 @@ def test_descriptor_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     d = sqp_pool(rng.uniform(0, 1, size=(8, 4, 4)))
     DescriptorIndex(entries=[IndexEntry("item42", d, 0)]).save(tmp_path)
-    (entry,) = DescriptorIndex.load(tmp_path).entries
-    loaded = entry.descriptor
-    assert entry.item_id == "item42"
-    assert loaded.kind == "sqp"
-    assert loaded.spatial == (4, 4)
-    assert np.array_equal(loaded.values, d.values.astype(np.float32).astype(np.float64))
+    loaded = DescriptorIndex.load(tmp_path)
+    assert (loaded.ids, loaded.labels, loaded.kind) == (("item42",), (0,), "sqp")
+    assert np.array_equal(loaded.matrix, [d.values.astype(np.float32).astype(np.float64)])

@@ -22,7 +22,7 @@ from util import fd_gradient, rel_error
 
 
 def desc(values, kind="sqp"):
-    return Descriptor(values=np.asarray(values, dtype=np.float64), kind=kind, spatial=(4, 4))
+    return Descriptor(values=np.asarray(values, dtype=np.float64), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +126,12 @@ def test_similarity_op_of_a_zero_norm_vector_sends_back_zero_gradients(zero):
 # Index and ranking
 # ---------------------------------------------------------------------------
 
+def make_entries(vectors, kind="sqp"):
+    return [IndexEntry(f"it{i:03d}", desc(v, kind), i) for i, v in enumerate(vectors)]
+
+
 def make_index(vectors, kind="sqp"):
-    return DescriptorIndex(entries=[IndexEntry(f"it{i:03d}", desc(v, kind), i)
-                                    for i, v in enumerate(vectors)])
+    return DescriptorIndex(entries=make_entries(vectors, kind))
 
 
 def test_rank_duplicate_first():
@@ -158,19 +161,20 @@ def test_rank_empty_index():
 def test_rank_matches_sort_oracle():
     rng = np.random.default_rng(3)
     vectors = [rng.uniform(0.0, 1.0, size=5) for _ in range(50)]
-    index = make_index(vectors)
+    entries = make_entries(vectors)
     q = desc(rng.uniform(0.0, 1.0, size=5))
-    expected = sorted((e.item_id for e in index.entries),
-                      key=lambda iid: (-similarity(q, index.entries[int(iid[2:])].descriptor), iid))
-    assert rank(q, index) == expected
+    expected = sorted((e.item_id for e in entries),
+                      key=lambda iid: (-similarity(q, entries[int(iid[2:])].descriptor), iid))
+    assert rank(q, DescriptorIndex(entries)) == expected
 
 
-def oracle_rank(query, index, exclude_id=None):
-    """Sort by pairwise similarity, then by id: rank as one loop over entries."""
+def oracle_rank(query, entries, exclude_id=None):
+    """Sort by pairwise similarity, then by id: rank as one loop over the
+    entries an index is built from."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         scored = sorted((-similarity(query, e.descriptor), e.item_id)
-                        for e in index.entries if e.item_id != exclude_id)
+                        for e in entries if e.item_id != exclude_id)
     return [item_id for _, item_id in scored]
 
 
@@ -183,11 +187,10 @@ def test_rank_matches_pairwise_oracle_with_exact_ties(seed):
     rng = np.random.default_rng(seed)
     n, c = int(rng.integers(1, 30)), int(rng.integers(1, 5))
     ids = [f"it{i:03d}" for i in rng.permutation(n)]
-    index = DescriptorIndex(entries=[IndexEntry(iid, desc(rng.integers(-2, 3, size=c)), 0)
-                                     for iid in ids])
+    entries = [IndexEntry(iid, desc(rng.integers(-2, 3, size=c)), 0) for iid in ids]
     q = desc(rng.integers(-2, 3, size=c))
     exclude = [None, ids[0], "absent"][int(rng.integers(3))]
-    assert rank(q, index, exclude_id=exclude) == oracle_rank(q, index, exclude)
+    assert rank(q, DescriptorIndex(entries), exclude_id=exclude) == oracle_rank(q, entries, exclude)
 
 
 @settings(max_examples=50)
@@ -204,12 +207,12 @@ def test_equal_float_rows_score_equal_and_rank_by_id(seed):
 
 
 def test_rank_mismatch_raises_like_oracle():
-    index = make_index([[1.0, 0.0], [0.0, 1.0]])
+    entries = make_entries([[1.0, 0.0], [0.0, 1.0]])
     for q in (desc([1.0, 0.0], kind="rmac"), desc([1.0, 0.0, 0.0])):
         with pytest.raises(ValueError):
-            oracle_rank(q, index)
+            oracle_rank(q, entries)
         with pytest.raises(ValueError):
-            rank(q, index)
+            rank(q, DescriptorIndex(entries))
 
 
 def test_rank_scores_the_index_in_one_similarity_call(monkeypatch):
@@ -223,9 +226,11 @@ def test_rank_scores_the_index_in_one_similarity_call(monkeypatch):
 
 def test_index_is_immutable():
     index = make_index([[1.0, 0.0], [0.0, 1.0]])
-    assert isinstance(index.entries, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        index.entries = ()
+    assert [f.name for f in dataclasses.fields(index)] == ["ids", "labels", "matrix", "kind"]
+    assert (index.ids, index.labels, index.kind) == (("it000", "it001"), (0, 1), "sqp")
+    for name in ("ids", "labels", "matrix", "kind"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(index, name, None)
     with pytest.raises(ValueError):
         index.matrix[0, 0] = 5.0
 
@@ -256,7 +261,7 @@ def test_ranking_invariant_under_positive_scaling(seed, alpha):
 def save_small_index(directory):
     rng = np.random.default_rng(13)
     index = DescriptorIndex(entries=[
-        IndexEntry(f"it{i}", Descriptor(rng.uniform(0.1, 1.0, size=3), "sqp", (4, 4)), i % 2)
+        IndexEntry(f"it{i}", Descriptor(rng.uniform(0.1, 1.0, size=3), "sqp"), i % 2)
         for i in range(3)])
     index.save(directory)
     return index
@@ -271,25 +276,42 @@ def edit_manifest(directory, edit):
 def test_index_load_roundtrip(tmp_path):
     index = save_small_index(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [MANIFEST_NAME, BLOB_NAME]
+    assert "spatial" not in json.loads((tmp_path / MANIFEST_NAME).read_text())
     loaded = DescriptorIndex.load(tmp_path)
-    assert loaded.ids == index.ids
-    assert loaded.labels() == index.labels()
+    assert loaded.ids == index.ids == ("it0", "it1", "it2")
+    assert loaded.labels == index.labels == (0, 1, 0)
     assert loaded.kind == "sqp"
-    assert all(e.descriptor.spatial == (4, 4) for e in loaded.entries)
     assert np.array_equal(loaded.matrix, index.matrix.astype(np.float32).astype(np.float64))
+    # older manifests also hold the source feature maps' `spatial` size; nothing reads it
+    edit_manifest(tmp_path, lambda m: m.update(spatial=[4, 4]))
+    old = DescriptorIndex.load(tmp_path)
+    assert (old.ids, old.labels, old.kind) == (index.ids, index.labels, index.kind)
+    assert np.array_equal(old.matrix, loaded.matrix)
 
 
 def test_empty_index_roundtrips(tmp_path):
     DescriptorIndex(entries=[]).save(tmp_path)
     assert json.loads((tmp_path / MANIFEST_NAME).read_text())["pooling"] is None
     loaded = DescriptorIndex.load(tmp_path)
-    assert loaded.entries == () and loaded.kind is None and loaded.matrix.shape == (0, 0)
+    assert (loaded.ids, loaded.labels, loaded.kind) == ((), (), None)
+    assert loaded.matrix.shape == (0, 0)
 
 
-def test_index_rejects_mixed_spatial_sizes():
-    with pytest.raises(ValueError, match="spatial"):
+@pytest.mark.parametrize("pooling", ["gem", "sqp"])
+def test_empty_index_load_rejects_a_pooling(tmp_path, pooling):
+    payload = {"kind": "descriptor_index", "pooling": pooling, "ids": [], "labels": []}
+    write_container(tmp_path, payload, [("descriptors", np.ones((0, 5)))])
+    with pytest.raises(ContainerError, match="pooling"):
+        DescriptorIndex.load(tmp_path)
+
+
+def test_index_rejects_mixed_lengths_and_non_vectors():
+    with pytest.raises(ValueError, match="lengths"):
         DescriptorIndex(entries=[IndexEntry("a", desc([1.0]), 0),
-                                 IndexEntry("b", Descriptor(np.array([2.0]), "sqp", (2, 2)), 1)])
+                                 IndexEntry("b", desc([2.0, 3.0]), 1)])
+    with pytest.raises(ValueError, match="not a vector"):
+        DescriptorIndex(entries=[IndexEntry("a", desc([1.0, 2.0]), 0),
+                                 IndexEntry("b", desc([[2.0], [3.0]]), 1)])
 
 
 @pytest.mark.parametrize("labels", [
@@ -321,14 +343,13 @@ def test_index_load_rejects_mixed_kinds(tmp_path):
     lambda m: m.update(ids=["it0", "it1", 2]),
     lambda m: m.update(pooling="gem"),
     lambda m: m.update(pooling=None),
-    lambda m: m.update(spatial="xy"),
-    lambda m: m.update(spatial=[4, 0]),
-    lambda m: m.update(spatial=[4, 4.0]),
-    lambda m: m.update(spatial=[4, 4, 1]),
+    lambda m: m.pop("ids"),
+    lambda m: m.pop("labels"),
+    lambda m: m.pop("pooling"),
+    lambda m: m.update(ids="it0it1it2"),
     lambda m: m["tensors"][0].update(name="values"),
 ], ids=["model-kind", "no-kind", "short-ids", "duplicate-ids", "int-id", "unknown-pooling",
-        "null-pooling", "string-spatial", "zero-spatial", "float-spatial", "rank-3-spatial",
-        "renamed-tensor"])
+        "null-pooling", "no-ids", "no-labels", "no-pooling", "string-ids", "renamed-tensor"])
 def test_index_load_rejects_malformed_manifest(tmp_path, edit):
     save_small_index(tmp_path)
     edit_manifest(tmp_path, edit)
@@ -346,8 +367,8 @@ def test_index_load_rejects_malformed_manifest(tmp_path, edit):
     [],
 ], ids=["two-rows", "vector", "bits", "extra-tensor", "nan", "inf", "no-tensor"])
 def test_index_load_rejects_bad_descriptor_tensor(tmp_path, tensors):
-    payload = {"kind": "descriptor_index", "pooling": "sqp", "spatial": [4, 4],
-               "ids": ["a", "b", "c"], "labels": [0, 1, 0]}
+    payload = {"kind": "descriptor_index", "pooling": "sqp", "ids": ["a", "b", "c"],
+               "labels": [0, 1, 0]}
     write_container(tmp_path, payload, tensors)
     with pytest.raises(ContainerError):
         DescriptorIndex.load(tmp_path)
@@ -388,15 +409,15 @@ def test_corrupted_index_loads_consistently_or_raises(blob, truncate, where, fli
             index = DescriptorIndex.load(directory)
         except ContainerError:
             return
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest, tensors = container.read_container(directory)
     labels = dict(zip(manifest["ids"], manifest["labels"]))
+    rows = dict(zip(manifest["ids"], tensors["descriptors"]))
     assert index.ids == tuple(sorted(labels))
-    assert index.labels() == labels
+    assert index.labels == tuple(labels[i] for i in index.ids)
+    assert index.kind == manifest["pooling"]
     assert index.matrix.shape[0] == len(labels)
-    for row, e in zip(index.matrix, sorted(index.entries, key=lambda e: e.item_id)):
-        assert e.descriptor.kind == index.kind == manifest["pooling"]
-        assert e.descriptor.spatial == tuple(manifest["spatial"])
-        assert np.array_equal(row, e.descriptor.values)
+    assert np.array_equal(index.matrix, np.array([rows[i] for i in index.ids]).reshape(
+        index.matrix.shape))
     assert np.all(np.isfinite(index.matrix))
 
 
