@@ -44,10 +44,10 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
     """Write a container directory, each file through a rename (`write_atomic`).
 
     `tensors` is a list of (name, array); boolean arrays are bit-packed,
-    everything else is cast to little-endian float32.
+    everything else is cast to little-endian float32. A tensor that is not
+    finite as float32 raises ContainerError before anything is written.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     blob = bytearray(_HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, 0))
     index = []
     for name, arr in tensors:
@@ -55,7 +55,7 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
             data = np.packbits(arr.reshape(-1)).tobytes()
             kind = "bits"
         else:
-            data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+            data = finite_f32(arr, ContainerError, f"{path}: tensor {name!r}").tobytes()
             kind = "f32"
         index.append({
             "name": name,
@@ -67,9 +67,20 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
         })
         blob.extend(data)
     manifest = {"format_version": FORMAT_VERSION, **payload, "tensors": index}
+    path.mkdir(parents=True, exist_ok=True)
     write_atomic(path / BLOB_NAME, bytes(blob))
     write_atomic(path / MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
     return path
+
+
+def finite_f32(arr, error: type[Exception], what: str) -> np.ndarray:
+    """`arr` as a contiguous little-endian float32 array, the form every float
+    file stores; `error` naming `what` if a value is not finite once cast."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        values = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(values)):
+        raise error(f"{what} holds a non-finite float32 value")
+    return values
 
 
 def write_atomic(target: str | Path, data: bytes) -> None:
@@ -138,8 +149,9 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container directory, verifying version, magic, and checksums.
 
     Returns (manifest, tensors) with float tensors widened to float64 and
-    bit-packed tensors unpacked to bool. A file that cannot be read raises
-    ContainerError; a manifest that is not a JSON object, IntegrityError.
+    bit-packed tensors unpacked to bool. A file that cannot be read or a
+    float tensor holding a non-finite value raises ContainerError; a manifest
+    that is not a JSON object, IntegrityError.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -180,7 +192,10 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
             tensors[name] = bits.astype(bool).reshape(shape)
         else:
-            tensors[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+            values = np.frombuffer(data, dtype="<f4")
+            if not np.all(np.isfinite(values)):
+                raise ContainerError(f"tensor {name!r} in {path} holds a non-finite value")
+            tensors[name] = values.astype(np.float64).reshape(shape)
     return manifest, tensors
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import is_int, read_file, read_json, write_atomic
+from .container import finite_f32, is_int, read_file, read_json, write_atomic
 
 CPTN_MAGIC = b"CPTN"
 CPTN_VERSION = 1
@@ -44,12 +44,14 @@ class DatasetError(ValueError):
 
 
 def save_tensor(arr: np.ndarray, path: str | Path) -> None:
+    """Write `arr` as a CPTN file of float32 values; DatasetError, before
+    anything is written, if a value is not finite as float32."""
     arr = np.asarray(arr)
     if not 1 <= arr.ndim <= 4:
         raise ValueError(f"tensor rank must be 1-4, got {arr.ndim}")
     dims = list(arr.shape) + [0] * (4 - arr.ndim)
     header = _CPTN_HEADER.pack(CPTN_MAGIC, CPTN_VERSION, arr.ndim, *dims)
-    write_atomic(path, header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_atomic(path, header + finite_f32(arr, DatasetError, str(path)).tobytes())
 
 
 def load_tensor(path: str | Path) -> np.ndarray:

@@ -248,20 +248,22 @@ def expand_compact(full: NetworkModel, compact: NetworkModel, kept: dict[int, tu
 
 
 def save_model(model: NetworkModel, path: str) -> None:
-    tensors = []
-    for i, layer in model.conv_layers():
-        tensors.append((f"layers.{i}.weights", layer.weights))
-        tensors.append((f"layers.{i}.bias", layer.bias))
-        tensors.append((f"layers.{i}.mask", layer.mask))
+    """Write a model container; each conv layer stores its live weights
+    `weights[mask]` in row-major mask order, its bias and its mask. A model
+    that breaks `validate_masks` is refused before anything is written."""
+    validate_masks(model)
+    tensors = [(f"layers.{i}.{part}", arr) for i, layer in model.conv_layers()
+               for part, arr in (("weights", layer.weights[layer.mask]),
+                                 ("bias", layer.bias), ("mask", layer.mask))]
     payload = {"kind": "model", "architecture": model.architecture(), "metadata": model.meta}
     container.write_container(path, payload, tensors)
 
 
 def load_model(path: str) -> NetworkModel:
-    """Load a model container. The architecture must form a valid chain and
-    every conv layer's weights, bias and mask must have the shape and kind it
-    implies, with no other tensor stored; anything else raises
-    `container.ContainerError`."""
+    """Load a model container. The architecture must form a valid chain, each
+    conv layer's mask and bias must have the shape and kind it implies and its
+    weights one float per live mask entry, with no other tensor stored;
+    anything else raises `container.ContainerError`."""
     manifest, tensors = container.read_container(path)
     if manifest.get("kind") != "model":
         raise container.ContainerError(f"{path} holds {manifest.get('kind')!r}, not a model")
@@ -274,20 +276,21 @@ def load_model(path: str) -> NetworkModel:
                                        f"JSON objects, got {history!r}")
 
     def stored_conv(i: int, shape: tuple, stride: int, padding: int) -> ConvLayer:
-        arrays = {}
-        for part, part_shape, dtype in (("weights", shape, np.float64),
-                                        ("bias", shape[:1], np.float64),
-                                        ("mask", shape, np.bool_)):
+        def stored(part: str, part_shape: tuple, dtype) -> np.ndarray:
             name = f"layers.{i}.{part}"
-            arr = arrays[part] = tensors.pop(name, None)
+            arr = tensors.pop(name, None)
             if arr is None:
                 raise container.ContainerError(f"{path}: the architecture needs tensor "
                                                f"{name!r}, which is not stored")
             if arr.shape != part_shape or arr.dtype != dtype:
                 raise container.ContainerError(
-                    f"{path}: tensor {name!r} is {arr.dtype} {arr.shape}, the architecture "
+                    f"{path}: tensor {name!r} is {arr.dtype} {arr.shape}, the model "
                     f"needs {np.dtype(dtype)} {part_shape}")
-        return ConvLayer(**arrays, stride=stride, padding=padding)
+            return arr
+        mask = stored("mask", shape, np.bool_)
+        weights = np.zeros(shape)
+        weights[mask] = stored("weights", (int(mask.sum()),), np.float64)
+        return ConvLayer(weights, stored("bias", shape[:1], np.float64), mask, stride, padding)
 
     try:
         input_shape, layers = _check_chain(manifest.get("architecture"), stored_conv)
@@ -298,9 +301,4 @@ def load_model(path: str) -> NetworkModel:
     if tensors:
         raise container.ContainerError(
             f"{path}: tensors {sorted(tensors)} are not in the architecture")
-    model = NetworkModel(input_shape=input_shape, layers=layers, meta=meta)
-    try:
-        validate_masks(model)  # reject files whose stored weights violate the masks
-    except ValueError as exc:
-        raise container.ContainerError(f"{path}: {exc}") from exc
-    return model
+    return NetworkModel(input_shape=input_shape, layers=layers, meta=meta)

@@ -173,8 +173,6 @@ class DescriptorIndex:
         pooling = manifest.get("pooling")
         if pooling not in (POOLING_KINDS if ids else (None,)):
             fail(f"pooling kind {pooling!r} does not fit {len(ids)} ids (null exactly when none)")
-        if not np.all(np.isfinite(matrix)):
-            fail("non-finite descriptor values")
         return cls([IndexEntry(i, Descriptor(row, pooling), label)
                     for i, row, label in zip(ids, matrix, labels)])
 

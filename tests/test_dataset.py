@@ -272,10 +272,19 @@ def test_missing_files_raise_dataset_error(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_tensor_file_rejects_non_finite_payload(tmp_path, value):
-    path = tmp_path / "t.cptn"
-    save_tensor(np.array([1.0, value, 2.0]), path)
+    path = tmp_path / "t.cptn"  # by hand: save_tensor refuses to write it
+    path.write_bytes(struct.pack("<4sHH4I", b"CPTN", 1, 1, 3, 0, 0, 0)
+                     + np.array([1.0, value, 2.0], dtype="<f4").tobytes())
     with pytest.raises(DatasetError, match="non-finite"):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "past-float32"])
+def test_save_tensor_refuses_non_finite_values(tmp_path, value):
+    path = tmp_path / "t.cptn"
+    with pytest.raises(DatasetError, match="t.cptn holds a non-finite"):
+        save_tensor(np.array([1.0, value]), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tensor_file_rejects_header_whose_size_overflows(tmp_path):

@@ -16,10 +16,12 @@ from convprune.finetune import descriptor_of
 from convprune.network import (clone_model, compact_model, expand_compact, forward_features,
                                init_network, load_model, save_model, tinynet_architecture,
                                validate_masks)
+from convprune.pruner import apply_pruning
 from convprune.retrieval import DescriptorIndex
+from convprune.salience import salience_h1
 from convprune.tensor import ShapeError
 
-from util import CHANNEL_PLAN, channel_structured_model, rel_error
+from util import CHANNEL_PLAN, channel_structured_model, patch_tensor, rel_error
 
 
 def small_arch():
@@ -230,13 +232,73 @@ def test_load_rejects_version_mismatch(tmp_path):
         load_model(str(path))
 
 
+def _write_model(path, model, replace=()) -> None:
+    """Write `model`'s tensors as `save_model` lays them out, with the
+    (name, array) pairs of `replace` put in or swapped in."""
+    tensors = {}
+    for i, layer in model.conv_layers():
+        tensors.update({f"layers.{i}.weights": layer.weights[layer.mask],
+                        f"layers.{i}.bias": layer.bias, f"layers.{i}.mask": layer.mask})
+    tensors.update(replace)
+    write_container(path, {"kind": "model", "architecture": model.architecture(),
+                           "metadata": {}}, list(tensors.items()))
+
+
 def test_load_rejects_mask_weight_inconsistency(tmp_path):
     model = init_network(small_arch(), seed=10)
     layer = model.layers[0]
     layer.mask[0, 0, 0, 0] = False  # nonzero weight under a cleared mask
     path = tmp_path / "model"
-    save_model(model, str(path))
     with pytest.raises(ValueError, match="zero mask"):
+        save_model(model, str(path))
+    assert not path.exists()
+    # a file holds one weight per live mask entry: one more fails the load
+    _write_model(path, model, [("layers.0.weights", np.append(layer.weights[layer.mask], 1.0))])
+    with pytest.raises(ContainerError, match="layers.0.weights"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("keep,nbytes", [(1.0, 144_990), (0.5, 75_006), (0.1, 19_018)],
+                         ids=["1.0", "0.5", "0.1"])
+def test_model_file_holds_only_live_weights(tmp_path, keep, nbytes):
+    base = init_network(tinynet_architecture(), seed=3)
+    model, _ = apply_pruning(base, salience_h1(base), keep)
+    path = tmp_path / "model"
+    save_model(model, str(path))
+    shapes = {t["name"]: t["shape"] for t in
+              json.loads((path / "manifest.json").read_text())["tensors"]}
+    segments = 0
+    for i, layer in model.conv_layers():
+        live = int(layer.mask.sum())
+        assert shapes[f"layers.{i}.weights"] == [live]
+        segments += 4 * live + 4 * layer.bias.size + (layer.mask.size + 7) // 8
+    assert (path / "tensors.bin").stat().st_size == 8 + segments == nbytes
+    loaded = load_model(str(path))
+    for (_, a), (_, b) in zip(model.conv_layers(), loaded.conv_layers()):
+        assert np.array_equal(b.weights, a.weights.astype(np.float32).astype(np.float64))
+        assert np.array_equal(b.bias, a.bias.astype(np.float32).astype(np.float64))
+        assert np.array_equal(b.mask, a.mask)
+
+
+@pytest.mark.parametrize("part,value", [("weights", np.nan), ("bias", np.nan),
+                                        ("weights", 1e300)],
+                         ids=["nan-weight", "nan-bias", "weight-past-float32"])
+def test_save_model_refuses_non_finite_parameters(tmp_path, part, value):
+    model = init_network(small_arch(), seed=11)
+    getattr(model.layers[3], part)[0] = value
+    path = tmp_path / "model"
+    with pytest.raises(ContainerError, match=f"layers.3.{part}"):
+        save_model(model, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_load_rejects_non_finite_tensor(tmp_path, value):
+    model = init_network(small_arch(), seed=12)
+    path = tmp_path / "model"
+    save_model(model, str(path))
+    patch_tensor(path, "layers.3.bias", [value, 0.0, 0.0, 0.0])
+    with pytest.raises(ContainerError, match=r"'layers.3.bias' in .*model.* non-finite"):
         load_model(str(path))
 
 
@@ -250,7 +312,7 @@ def test_load_rejects_channels_that_disagree_with_weights(tmp_path):
     path = tmp_path / "model"
     save_model(init_network(tinynet_architecture(), seed=1), str(path))
     _edit_manifest(path, lambda m: m["architecture"]["layers"][2].update(channels=8))
-    with pytest.raises(ContainerError, match="layers.2.weights"):
+    with pytest.raises(ContainerError, match="layers.2.mask"):  # read first
         load_model(str(path))
 
 
@@ -309,18 +371,13 @@ def test_load_rejects_malformed_tensor_index(tmp_path, replace, match):
     ("layers.3.bias", np.zeros((4, 4))),
     ("layers.0.mask", np.ones((3, 2, 3, 3))),
     ("layers.0.weights", np.ones((3, 2, 3, 3), dtype=bool)),
+    ("layers.0.weights", np.ones((3, 2, 3, 3))),
     ("layers.1.weights", np.zeros(1)),
-], ids=["bias-4x4", "float-mask", "bool-weights", "tensor-for-relu"])
+], ids=["bias-4x4", "float-mask", "bool-weights", "dense-weights", "tensor-for-relu"])
 def test_load_rejects_tensor_the_architecture_does_not_imply(tmp_path, name, replacement):
     model = init_network(small_arch(), seed=4)
-    tensors = {}
-    for i, layer in model.conv_layers():
-        tensors.update({f"layers.{i}.weights": layer.weights, f"layers.{i}.bias": layer.bias,
-                        f"layers.{i}.mask": layer.mask})
-    tensors[name] = replacement
     path = tmp_path / "model"
-    write_container(path, {"kind": "model", "architecture": model.architecture(),
-                           "metadata": {}}, list(tensors.items()))
+    _write_model(path, model, [(name, replacement)])
     with pytest.raises(ContainerError, match=name):
         load_model(str(path))
 

@@ -18,7 +18,7 @@ from convprune.retrieval import (DescriptorIndex, EvalResult, IndexEntry, averag
                                  evaluate, rank, recall4, similarity, similarity_op)
 from convprune.tensor import GradientTape
 
-from util import fd_gradient, rel_error
+from util import fd_gradient, patch_tensor, rel_error
 
 
 def desc(values, kind="sqp"):
@@ -357,21 +357,31 @@ def test_index_load_rejects_malformed_manifest(tmp_path, edit):
         DescriptorIndex.load(tmp_path)
 
 
-@pytest.mark.parametrize("tensors", [
-    [("descriptors", np.ones((2, 3)))],
-    [("descriptors", np.ones(3))],
-    [("descriptors", np.ones((3, 3), dtype=bool))],
-    [("descriptors", np.ones((3, 3))), ("extra", np.ones(1))],
-    [("descriptors", np.full((3, 3), np.nan))],
-    [("descriptors", np.full((3, 3), np.inf))],
-    [],
+@pytest.mark.parametrize("tensors,fill", [
+    ([("descriptors", np.ones((2, 3)))], None),
+    ([("descriptors", np.ones(3))], None),
+    ([("descriptors", np.ones((3, 3), dtype=bool))], None),
+    ([("descriptors", np.ones((3, 3))), ("extra", np.ones(1))], None),
+    ([("descriptors", np.ones((3, 3)))], np.nan),
+    ([("descriptors", np.ones((3, 3)))], np.inf),
+    ([], None),
 ], ids=["two-rows", "vector", "bits", "extra-tensor", "nan", "inf", "no-tensor"])
-def test_index_load_rejects_bad_descriptor_tensor(tmp_path, tensors):
+def test_index_load_rejects_bad_descriptor_tensor(tmp_path, tensors, fill):
     payload = {"kind": "descriptor_index", "pooling": "sqp", "ids": ["a", "b", "c"],
                "labels": [0, 1, 0]}
     write_container(tmp_path, payload, tensors)
+    if fill is not None:  # by hand: write_container refuses non-finite values
+        patch_tensor(tmp_path, "descriptors", np.full((3, 3), fill))
     with pytest.raises(ContainerError):
         DescriptorIndex.load(tmp_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "past-float32"])
+def test_index_save_refuses_non_finite_descriptor(tmp_path, value):
+    index = DescriptorIndex([IndexEntry("a", Descriptor(np.array([1.0, value]), "sqp"), 0)])
+    with pytest.raises(ContainerError, match="'descriptors' holds a non-finite"):
+        index.save(tmp_path / "index")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_index_load_rejects_missing_and_undecodable_files(tmp_path):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
 
+from convprune.container import BLOB_NAME, MANIFEST_NAME
 from convprune.dataset import RetrievalDataset, save_tensor
 from convprune.finetune import descriptor_of, triplet_loss_op
 from convprune.tensor import GradientTape
@@ -36,6 +38,21 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 and nb == 0.0:
         return 0.0
     return float(np.linalg.norm(a - b) / max(na, nb))
+
+
+def patch_tensor(directory: Path, name: str, values) -> None:
+    """Overwrite the payload of the container's f32 tensor `name` with
+    `values` as little-endian float32 and fix its checksum: the way to store
+    a non-finite value, which `write_container` refuses."""
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    spec = next(t for t in manifest["tensors"] if t["name"] == name)
+    data = np.asarray(values, dtype="<f4").tobytes()
+    assert spec["kind"] == "f32" and len(data) == spec["nbytes"]
+    blob = bytearray((directory / BLOB_NAME).read_bytes())
+    blob[spec["offset"]:spec["offset"] + len(data)] = data
+    spec["crc32"] = zlib.crc32(data)
+    (directory / BLOB_NAME).write_bytes(bytes(blob))
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
 def nudge_from_zero(x: np.ndarray, margin: float = 1e-3) -> np.ndarray:
