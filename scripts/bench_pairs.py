@@ -64,7 +64,10 @@ def _parse(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--label", required=True)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs must be at least 1, got {args.pairs}")
+    return args
 
 
 def command(bench: dict, workload: str, seed) -> list[str]:

@@ -78,12 +78,17 @@ class ExperimentConfig:
         return cls(**data)
 
     def finetune_config(self, pooling: str) -> FinetuneConfig:
-        """The FinetuneConfig for one pooling; fields that both configs have
-        are copied by name, the rest keep FinetuneConfig's defaults."""
-        own = {f.name for f in dataclasses.fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(FinetuneConfig)
-                  if f.name in own}
-        return FinetuneConfig(pooling=pooling, **shared)
+        """The FinetuneConfig for one pooling; the fields both configs have
+        are copied by `settings_for`, the rest keep FinetuneConfig's defaults."""
+        return FinetuneConfig(pooling=pooling, **settings_for(FinetuneConfig, self))
+
+
+def settings_for(config_class, source) -> dict:
+    """The attributes of `source` (parsed flags or an ExperimentConfig) that
+    name fields of the dataclass `config_class`: every settings flag has the
+    dest of the field it sets."""
+    given = vars(source)
+    return {f.name: given[f.name] for f in dataclasses.fields(config_class) if f.name in given}
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +137,6 @@ def _salience_for(heuristic: str, model, dataset, cfg: FinetuneConfig,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _training_config(args) -> FinetuneConfig:
-    return FinetuneConfig(margin=args.margin, learning_rate=args.lr, epochs=args.epochs,
-                          batch_size=args.batch_size, seed=args.seed,
-                          mining=args.mining, pooling=args.pooling)
-
-
 def _shape(text: str) -> tuple[int, int, int]:
     """The argparse type of `gen-dataset --shape`: CxHxW, three positive integers."""
     dims = text.split("x")
@@ -155,6 +154,11 @@ def _fractions(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
 
 
+def _names(text: str) -> list[str]:
+    """The argparse type of `pipeline --heuristic` and `--pooling`: comma-separated names."""
+    return text.split(",")
+
+
 def cmd_gen_dataset(args) -> int:
     ds.generate_dataset(args.out, instances=args.instances,
                         images_per_instance=args.images, shape=args.shape, seed=args.seed)
@@ -168,8 +172,7 @@ def cmd_train(args) -> int:
         arch = net.tinynet_architecture()
     else:
         arch = container.read_json(args.arch, ValueError)
-    cfg = _training_config(args)
-    model = train_baseline(arch, dataset, cfg)
+    model = train_baseline(arch, dataset, FinetuneConfig(**settings_for(FinetuneConfig, args)))
     net.save_model(model, args.out)
     last = model.meta["history"][-1]
     print(f"trained {args.epochs} epochs; final mean loss {last['mean_loss']:.4f}; "
@@ -179,7 +182,7 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     model = net.load_model(args.model)
-    cfg = FinetuneConfig(pooling=args.pooling, margin=args.margin, seed=args.seed)
+    cfg = FinetuneConfig(**settings_for(FinetuneConfig, args))
     dataset = ds.RetrievalDataset.load(args.data) if args.data else None
     if args.heuristic != "h1" and dataset is None:
         raise ValueError(f"heuristic {args.heuristic} needs --data")
@@ -196,8 +199,7 @@ def cmd_prune(args) -> int:
 def cmd_finetune(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
-    cfg = _training_config(args)
-    tuned, log = run_finetune(model, dataset, cfg)
+    tuned, log = run_finetune(model, dataset, FinetuneConfig(**settings_for(FinetuneConfig, args)))
     net.save_model(tuned, args.out)
     if args.log:
         container.write_jsonl(args.log, log)
@@ -329,18 +331,7 @@ def _point(heuristic: str, keep: float, pooling: str) -> tuple[str, list[str]]:
 
 
 def cmd_pipeline(args) -> int:
-    overrides = {
-        "heuristics": args.heuristic.split(",") if args.heuristic else None,
-        "keep_fractions": args.keep,
-        "poolings": args.pooling.split(",") if args.pooling else None,
-        "epochs": args.epochs,
-        "margin": args.margin,
-        "seed": args.seed,
-        "data": args.data,
-        "model": args.model,
-        "out": args.out,
-    }
-    cfg = ExperimentConfig.from_file(args.config, overrides)
+    cfg = ExperimentConfig.from_file(args.config, settings_for(ExperimentConfig, args))
     out = run_pipeline(cfg)
     print(f"pipeline finished; metrics in {out / 'metrics.csv'}")
     return 0
@@ -351,10 +342,11 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    """The fine-tune flags of `train` and `finetune`; `_training_config` reads them."""
+    """The FinetuneConfig flags of `train` and `finetune`."""
     p.add_argument("--epochs", type=int, default=FinetuneConfig.epochs)
     p.add_argument("--margin", type=float, default=FinetuneConfig.margin)
-    p.add_argument("--lr", type=float, default=FinetuneConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   default=FinetuneConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=FinetuneConfig.batch_size)
     p.add_argument("--mining", choices=MINING_MODES, default=FinetuneConfig.mining)
     p.add_argument("--pooling", choices=POOLING_KINDS, default=FinetuneConfig.pooling)
@@ -424,9 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full sweep: prune, evaluate, fine-tune, evaluate")
     p.add_argument("--config", default="", help="JSON ExperimentConfig; flags override")
-    p.add_argument("--heuristic", default="", help="comma-separated heuristic ids")
-    p.add_argument("--keep", type=_fractions, default=None, help="comma-separated keep fractions")
-    p.add_argument("--pooling", default="", help="comma-separated pooling kinds")
+    p.add_argument("--heuristic", dest="heuristics", metavar="HEURISTIC", type=_names,
+                   help="comma-separated heuristic ids")
+    p.add_argument("--keep", dest="keep_fractions", metavar="KEEP", type=_fractions,
+                   help="comma-separated keep fractions")
+    p.add_argument("--pooling", dest="poolings", metavar="POOLING", type=_names,
+                   help="comma-separated pooling kinds")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--margin", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -95,6 +95,8 @@ def _read_tensor(path: str | Path) -> np.ndarray:
         raise DatasetError(f"{path}: unsupported tensor format version {version}")
     if not 1 <= rank <= 4:
         raise DatasetError(f"{path}: bad rank {rank}")
+    if any(dims[rank:]):
+        raise DatasetError(f"{path}: rank {rank} header has nonzero unused dims {dims[rank:]}")
     shape = tuple(dims[:rank])
     count = math.prod(shape)
     payload = raw[_CPTN_HEADER.size:]

@@ -424,10 +424,11 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
     weights and biases are then written into a copy of `model`; the entries
     it drops have an exactly zero dense gradient, so they keep their values.
 
-    The `_workers` processes of the largest batch, which every epoch entry
-    records as "workers", are forked once, after the compact weights move to
-    shared memory, and serve every batch of every epoch: each SGD step the
-    caller takes in place is what they read on the next batch.
+    The `_workers` processes of the largest batch, which every log entry
+    records as "workers" and the copy's history leaves out, are forked once,
+    after the compact weights move to shared memory, and serve every batch
+    of every epoch: each SGD step the caller takes in place is what they
+    read on the next batch.
     """
     validate_masks(model)
     tuned = clone_model(model)
@@ -464,9 +465,8 @@ def finetune(model: NetworkModel, dataset: RetrievalDataset,
                 "mean_loss": loss_sum / len(triplets),
                 "active_fraction": active / len(triplets),
                 "wall_time": time.perf_counter() - t_start,
-                "workers": n_workers,
             }
-            log.append(entry)
+            log.append({**entry, "workers": n_workers})
             tuned.meta.setdefault("history", []).append(entry)
     expand_compact(tuned, model, kept)
     validate_masks(tuned)

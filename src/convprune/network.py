@@ -130,8 +130,6 @@ def _check_chain(architecture, conv) -> tuple[tuple[int, int, int], list]:
             layers.append(MaxPool2Layer())
         else:
             raise ValueError(f"layer {i}: unknown layer kind {kind!r}")
-        if h < 1 or w < 1:
-            raise ShapeError(f"layer {i}: spatial extent collapsed to {h}x{w}")
     return input_shape, layers
 
 

@@ -315,6 +315,81 @@ def test_experiment_config_validation(tmp_path):
     assert cfg.epochs == 5 and cfg.heuristics == ["h1"]
 
 
+def _pipeline_via_main(monkeypatch, argv) -> list:
+    """Run `convprune pipeline` with `argv`; returns the configs it handed to run_pipeline."""
+    from convprune import cli
+    received = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: received.append(cfg) or run_pipeline(cfg))
+    assert main(["pipeline", *argv]) == 0
+    return received
+
+
+def test_pipeline_flags_run_the_sweep_of_the_equal_config(workspace, tmp_path, monkeypatch):
+    paths = {"data": str(workspace / "data"), "model": str(workspace / "baseline")}
+    settings = {"heuristics": ["h1", "h3"], "keep_fractions": [0.5, 0.25],
+                "poolings": ["sqp", "rmac"], "epochs": 1, "margin": 0.2, "seed": 5, **paths}
+    run_pipeline(ExperimentConfig(**settings, out=str(tmp_path / "direct")))
+    received = _pipeline_via_main(monkeypatch, [
+        "--heuristic", "h1,h3", "--keep", "0.5,0.25", "--pooling", "sqp,rmac", "--epochs", "1",
+        "--margin", "0.2", "--seed", "5", "--data", paths["data"], "--model", paths["model"],
+        "--out", str(tmp_path / "flags")])
+    assert received == [ExperimentConfig(**settings, out=str(tmp_path / "flags"))]
+    assert ((tmp_path / "flags" / "metrics.csv").read_bytes()
+            == (tmp_path / "direct" / "metrics.csv").read_bytes())
+
+
+def test_pipeline_flag_overrides_its_config_file_key(workspace, tmp_path, monkeypatch):
+    settings = {"heuristics": ["h2"], "keep_fractions": [0.5], "poolings": ["sqp"], "epochs": 1,
+                "seed": 2, "data": str(workspace / "data"), "model": str(workspace / "baseline"),
+                "out": str(tmp_path / "from_file")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    run_pipeline(ExperimentConfig(**{**settings, "seed": 6, "out": str(tmp_path / "direct")}))
+    received = _pipeline_via_main(monkeypatch, ["--config", str(cfg_path), "--seed", "6"])
+    assert received == [ExperimentConfig(**{**settings, "seed": 6})]
+    assert ((tmp_path / "from_file" / "metrics.csv").read_bytes()
+            == (tmp_path / "direct" / "metrics.csv").read_bytes())
+
+
+# flag: (the FinetuneConfig field it sets, an argument, the field's value for it)
+SETTINGS_FLAGS = {"--epochs": ("epochs", "3", 3), "--margin": ("margin", "0.3", 0.3),
+                  "--lr": ("learning_rate", "0.05", 0.05), "--batch-size": ("batch_size", "4", 4),
+                  "--mining": ("mining", "hard", "hard"), "--pooling": ("pooling", "rmac", "rmac"),
+                  "--seed": ("seed", "7", 7)}
+
+
+@pytest.mark.parametrize("command, receiver, flags", [
+    ("train", "train_baseline", list(SETTINGS_FLAGS)),
+    ("finetune", "run_finetune", list(SETTINGS_FLAGS)),
+    ("prune", "_salience_for", ["--margin", "--pooling", "--seed"]),  # what h2's triplets use
+])
+def test_settings_flags_reach_their_config_fields(command, receiver, flags, workspace,
+                                                  tmp_path, monkeypatch):
+    from convprune import cli
+    from convprune.network import tinynet_architecture
+    received = []
+
+    def stop(*args):
+        received.append(args)
+        raise RuntimeError("stopped once the config arrived")
+    monkeypatch.setattr(cli, receiver, stop)
+    data, out = str(workspace / "data"), str(tmp_path / "out")
+    argv = {"train": ["train", "--data", data, "--out", out],
+            "finetune": ["finetune", "--model", str(workspace / "baseline"), "--data", data,
+                         "--out", out],
+            "prune": ["prune", "--model", str(workspace / "baseline"), "--data", data,
+                      "--out", out, "--heuristic", "h2", "--keep", "0.5"]}[command]
+    assert main(argv) == 1
+    assert main([*argv, *(arg for flag in flags for arg in (flag, SETTINGS_FLAGS[flag][1]))]) == 1
+    expected = FinetuneConfig(**{SETTINGS_FLAGS[f][0]: SETTINGS_FLAGS[f][2] for f in flags})
+    assert [args[-1] for args in received] == [FinetuneConfig(), expected]
+    if command == "train":  # the default --arch
+        assert all(args[0] == tinynet_architecture() for args in received)
+    if command == "prune":
+        assert all(args[0] == "h2" for args in received)
+    assert not Path(out).exists()
+
+
 @pytest.mark.parametrize("key", ["stats_images", "h2_triplets", "learning_rate", "batch_size",
                                  "mining"])
 def test_experiment_config_rejects_the_deleted_salience_sizes(key, tmp_path, workspace):
@@ -545,7 +620,7 @@ def test_pipeline_rerun_byte_identical(workspace):
 
 def test_sweep_writes_the_same_bytes_on_one_worker_and_on_two(workspace, monkeypatch):
     """Every file but log.jsonl is byte-identical; model manifests are
-    compared without each history entry's wall_time and workers."""
+    compared without each history entry's wall_time."""
     from convprune import finetune as finetune_module
     outs = {}
     for workers in (1, 2):
@@ -562,12 +637,16 @@ def test_sweep_writes_the_same_bytes_on_one_worker_and_on_two(workspace, monkeyp
 
     def manifest_without_timings(workers, rel):
         manifest = json.loads((outs[workers] / rel).read_text())
-        history = manifest["metadata"]["history"]
-        assert history[-1]["workers"] == workers  # the point's own fine-tune epoch
-        for entry in history:
-            del entry["wall_time"], entry["workers"]
+        for entry in manifest["metadata"]["history"]:
+            assert "workers" not in entry
+            del entry["wall_time"]
         return manifest
 
+    for workers, out in outs.items():  # the log shows each run's worker count
+        events = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+        tuned = [e for e in events if e["stage"] == "finetuned"]
+        assert len(tuned) == 6
+        assert all(entry["workers"] == workers for e in tuned for entry in e["epochs"])
     assert files(outs[1]) == files(outs[2])
     assert len(list((outs[1] / "models").iterdir())) == 6
     for rel in files(outs[1]):

@@ -49,6 +49,21 @@ def test_tensor_file_rejects_unsupported_version(tmp_path):
         load_tensor(path)
 
 
+def test_tensor_file_rejects_nonzero_unused_dims(tmp_path):
+    path = tmp_path / "t.cptn"  # rank 3, but a fourth dim of 7
+    path.write_bytes(struct.pack("<4sHH4I", b"CPTN", 1, 3, 3, 2, 2, 7)
+                     + np.ones(12, dtype="<f4").tobytes())
+    with pytest.raises(DatasetError, match=r"t\.cptn: rank 3 header has nonzero unused dims \[7\]"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1, 1, 1, 1)])
+def test_save_tensor_refuses_a_rank_outside_one_to_four(tmp_path, shape):
+    with pytest.raises(ValueError, match=f"rank must be 1-4, got {len(shape)}"):
+        save_tensor(np.ones(shape), tmp_path / "t.cptn")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tensor_file_rejects_truncation(tmp_path):
     path = tmp_path / "t.cptn"
     save_tensor(np.ones((2, 3)), path)

@@ -141,6 +141,17 @@ def test_bench_pairs_summary_verdicts(better, parent, change, verdict):
     assert summary["pairs"] == 10
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_bench_pairs_rejects_fewer_than_one_pair(pairs, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where BENCH_<label>.json would land
+    with pytest.raises(SystemExit) as exc:
+        _script("bench_pairs").main(["--parent", str(ROOT), "--change", str(ROOT),
+                                     "--workload", "sweep", "--pairs", pairs, "--label", "x"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 TIER1_TAIL = """\
 ........................................................................ [ 98%]
 .......F..                                                               [100%]
