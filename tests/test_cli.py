@@ -568,6 +568,17 @@ def test_pipeline_bad_config_fails_before_any_output(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--heuristic", "--pooling"])
+def test_pipeline_empty_list_flag_fails_the_config_check(flag, workspace, tmp_path, capsys):
+    # an empty flag is a list holding one empty name, which no heuristic or pooling has
+    out = tmp_path / "out"
+    assert main(["pipeline", "--data", str(workspace / "data"),
+                 "--model", str(workspace / "baseline"), "--out", str(out),
+                 "--heuristic", "h1", "--keep", "0.5", "--pooling", "sqp", flag, ""]) == 1
+    assert "unknown" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_rows_and_t1_consistency(workspace):
     out = workspace / "results"
     cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[1.0, 0.5], poolings=["sqp"],

@@ -293,7 +293,7 @@ def test_hard_mining_epoch_runs(small_dataset, small_arch):
                                  {"learning_rate": -0.2}, {"learning_rate": 0.0},
                                  {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
                                  {"margin": float("inf")}, {"margin": True}, {"margin": "0.1"},
-                                 {"learning_rate": True}])
+                                 {"learning_rate": True}, {"mining": "bogus"}])
 def test_config_rejects_invalid_settings(bad):
     # each of these used to pass construction and fail, or train wrongly, later
     (field,) = bad
@@ -526,6 +526,25 @@ def test_worker_unpicklable_result_raises_naming_it():
         assert [next(results)(), next(results)()] == [0, 1]  # share 0 never crosses a pipe
         with pytest.raises(pickle.PicklingError, match="cannot be pickled: .*lambda"):
             next(results)
+
+
+def test_failed_fork_leaves_no_worker_behind(monkeypatch):
+    real_fork, forked = os.fork, []
+
+    def fork_once():
+        if forked:
+            raise BlockingIOError(11, "fork refused")
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        finetune_module._Workers(lambda i: i, 3)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # the one worker forked was killed and reaped
+        os.waitpid(forked[0], os.WNOHANG)
 
 
 def test_trainer_pool_serves_after_a_nested_pool_map():

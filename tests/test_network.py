@@ -82,8 +82,10 @@ def test_init_rejects_relu_final_layer():
     {"input_shape": "3x8x8", "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
     {"input_shape": [3, 8, 8.5], "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
     {"input_shape": [3, True, 8], "layers": [{"kind": "conv", "channels": 4, "kernel": 3}]},
+    {"input_shape": [3, 2, 2], "layers": [{"kind": "conv", "channels": 4, "kernel": 5}]},
 ], ids=["list", "no-layers", "string-layer", "layer-map", "layer-without-kind",
-        "no-input-shape", "string-input-shape", "float-input-size", "bool-input-size"])
+        "no-input-shape", "string-input-shape", "float-input-size", "bool-input-size",
+        "kernel-past-padded-input"])
 def test_init_rejects_malformed_architecture(arch):
     with pytest.raises(ValueError):
         init_network(arch, seed=0)
@@ -142,11 +144,21 @@ def test_forward_rejects_wrong_shape():
         forward_features(model, np.zeros((2, 4, 4)))
 
 
+def test_forward_rejects_an_unknown_layer_type():
+    model = init_network(small_arch(), seed=0)
+    model.layers[1] = "relu"
+    with pytest.raises(ValueError, match="layer 1: unknown layer type str"):
+        forward_features(model, np.zeros((2, 8, 8)))
+
+
 def test_validate_masks_catches_violation():
     model = init_network(small_arch(), seed=0)
     layer = model.layers[0]
     layer.mask[0, 0, 0, 0] = False  # weight left nonzero
     with pytest.raises(ValueError, match="nonzero weights"):
+        validate_masks(model)
+    layer.mask = np.ones((3, 2, 3), dtype=bool)
+    with pytest.raises(ShapeError, match=r"layer 0: mask shape \(3, 2, 3\) != weights shape"):
         validate_masks(model)
 
 
@@ -327,9 +339,10 @@ def test_load_rejects_channels_that_disagree_with_weights(tmp_path):
     lambda m: m["architecture"].update(layers=["conv"]),
     lambda m: m["architecture"]["layers"][0].pop("kind"),
     lambda m: m.update(architecture=[]),
+    lambda m: m.update(kind="descriptor_index"),
 ], ids=["no-architecture", "no-layers", "string-kernel", "zero-stride", "unknown-kind",
         "rank-2-input", "list-metadata", "string-layer", "layer-without-kind",
-        "list-architecture"])
+        "list-architecture", "index-kind"])
 def test_load_rejects_malformed_architecture(tmp_path, edit):
     path = tmp_path / "model"
     save_model(init_network(small_arch(), seed=2), str(path))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convprune.pooling import RoiGrid, pool_features, rmac_grid, rmac_pool, sqp_pool
+from convprune.pooling import Descriptor, RoiGrid, pool_features, rmac_grid, rmac_pool, sqp_pool
 from convprune.retrieval import DescriptorIndex, IndexEntry
 from convprune.tensor import GradientTape, ShapeError
 
@@ -98,8 +98,10 @@ def test_sqp_matches_oracle():
 
 
 def test_sqp_rejects_empty_spatial():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="rank 3"):
         sqp_pool(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match="empty spatial extent"):
+        sqp_pool(np.zeros((2, 0, 4)))
 
 
 @settings(max_examples=50)
@@ -168,6 +170,12 @@ def test_grid_validates_bounds():
         RoiGrid(regions=[(0, 0, 5, 5)], width=4, height=4)
     with pytest.raises(ValueError, match="empty"):
         RoiGrid(regions=[(0, 0, 0, 2)], width=4, height=4)
+    with pytest.raises(ValueError, match="at least one region"):
+        RoiGrid(regions=[], width=4, height=4)
+    with pytest.raises(ShapeError, match="positive spatial dims, got 0x4"):
+        rmac_grid(0, 4)
+    with pytest.raises(ValueError, match="levels must be >= 1, got 0"):
+        rmac_grid(4, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +208,8 @@ def test_rmac_rejects_out_of_bounds_region():
     grid = RoiGrid(regions=[(0, 0, 4, 4)], width=4, height=4)
     with pytest.raises(ShapeError, match="3x3 feature maps do not fit a 4x4 grid"):
         rmac_pool(np.zeros((1, 3, 3)), grid)
+    with pytest.raises(ShapeError, match="rank 3"):
+        rmac_pool(np.zeros((2, 1, 4, 4)), grid)
 
 
 @settings(max_examples=50)
@@ -289,6 +299,8 @@ def test_per_channel_locality(kind):
 def test_pool_features_rejects_unknown_kind():
     with pytest.raises(ValueError, match="pooling kind"):
         pool_features(np.zeros((1, 2, 2)), "gem")
+    with pytest.raises(ValueError, match="unknown pooling kind 'gem'"):
+        Descriptor(values=np.zeros(2), kind="gem")
 
 
 def test_descriptor_roundtrip(tmp_path):

@@ -90,6 +90,8 @@ def test_similarity_matrix_degenerate_and_mismatched():
         assert list(similarity(desc([0.0, 0.0]), rows)) == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="lengths"):
         similarity(desc([1.0, 0.0, 0.0]), rows)
+    with pytest.raises(ValueError, match="pool feature maps first"):
+        similarity(rows, rows)  # a matrix query
 
 
 def test_similarity_op_matches_and_gradchecks():
@@ -348,8 +350,10 @@ def test_index_load_rejects_mixed_kinds(tmp_path):
     lambda m: m.pop("pooling"),
     lambda m: m.update(ids="it0it1it2"),
     lambda m: m["tensors"][0].update(name="values"),
+    lambda m: m["tensors"][0].update(kind="f64"),
 ], ids=["model-kind", "no-kind", "short-ids", "duplicate-ids", "int-id", "unknown-pooling",
-        "null-pooling", "no-ids", "no-labels", "no-pooling", "string-ids", "renamed-tensor"])
+        "null-pooling", "no-ids", "no-labels", "no-pooling", "string-ids", "renamed-tensor",
+        "unknown-tensor-kind"])
 def test_index_load_rejects_malformed_manifest(tmp_path, edit):
     save_small_index(tmp_path)
     edit_manifest(tmp_path, edit)

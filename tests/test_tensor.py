@@ -122,6 +122,13 @@ def test_conv_shape_errors():
         conv2d_forward(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError, match="stride"):
         conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1), stride=0)
+    with pytest.raises(ShapeError, match="padding must be >= 0, got -1"):
+        conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(1), padding=-1)
+    with pytest.raises(ShapeError, match="weights must be rank 4"):
+        conv2d_forward(np.zeros((1, 4, 4)), np.zeros((1, 3, 3)), np.zeros(1))
+    with pytest.raises(TypeError, match="input must be a float64 ndarray, got ndarray of dtype "
+                                        "float32"):
+        conv2d_forward(np.zeros((1, 4, 4), np.float32), np.zeros((1, 1, 3, 3)), np.zeros(1))
 
 
 def test_conv_forward_deterministic():
@@ -228,6 +235,16 @@ def test_conv_constant_input_skips_input_grad():
 def test_conv_backward_needs_entry():
     with pytest.raises(ValueError):
         conv2d_backward(None, np.zeros((1, 1, 1)))
+
+
+def test_relu_and_maxpool_backward_need_their_own_entry():
+    tape = GradientTape()
+    pooled = maxpool2_forward(relu_forward(np.ones((1, 2, 2)), tape=tape), tape=tape)
+    relu_entry, pool_entry = tape.entries
+    with pytest.raises(ValueError, match="needs a relu tape entry"):
+        relu_backward(pool_entry, np.ones_like(pooled))
+    with pytest.raises(ValueError, match="needs a maxpool2 tape entry"):
+        maxpool2_backward(relu_entry, np.ones((1, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +379,16 @@ def test_tape_reverse_order_and_accumulation():
     register_backward("sum2", lambda entry, g: (g, g))
     tape.backward(total)
     assert tape.gradient(w)[0, 0, 0, 0] == 4.0  # 1 + 3
+
+
+def test_tape_backward_skips_entries_off_the_seeded_output():
+    x = tensor([[[-1.0, 2.0], [3.0, -4.0]]])
+    tape = GradientTape()
+    seeded = relu_forward(x, tape=tape)
+    maxpool2_forward(x, tape=tape)  # replayed first, but its output reaches nothing
+    tape.backward(seeded)
+    assert tape.entries == []
+    assert np.array_equal(tape.gradient(x), [[[0.0, 1.0], [1.0, 0.0]]])
 
 
 def test_im2col_rejects_windows_that_overrun_the_map():
