@@ -20,7 +20,8 @@ these that holds:
   within bound  anything else.
 
 Runs last `run_seconds` of `BENCHMARK.json`. `BENCH_<label>.json`, in the
-current directory, is rewritten after every pair. It holds the command run,
+current directory, is rewritten after every pair, through a rename, so a
+failed write leaves the previous file. It holds the command run,
 each side's commit and source hash, the summary, with both sides' quartiles,
 and, per run, the end-to-end metrics, the output checks and the provenance
 line `perfbench/run.py` printed.
@@ -44,7 +45,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+from convprune.container import write_atomic  # noqa: E402
 from provenance import collect  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -183,7 +186,7 @@ def main(argv=None) -> int:
                     k: run["provenance"][k] for k in ("git_commit", "source_sha256")})
             pairs.append(pair)
             entry["summary"] = summarize(pairs, TIER1_METRICS if tier1 else bench["end_to_end"])
-            out_path.write_text(json.dumps(record, indent=1) + "\n")
+            write_atomic(out_path, (json.dumps(record, indent=1) + "\n").encode())
             print(f"{workload} pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         print(f"\n{workload}: {len(pairs)} pairs")
         print(f"  {'metric':<20} {'parent median':>14} {'change median':>14} "

@@ -222,7 +222,7 @@ def cmd_evaluate(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     result = evaluate_model(model, dataset, args.pooling)
-    container.write_atomic(args.out, result.to_json().encode())
+    result.write_json(args.out)
     if args.csv:
         result.write_csv(args.csv)
     r4 = "n/a" if result.mean_recall4 is None else f"{result.mean_recall4:.4f}"

@@ -69,7 +69,7 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
     manifest = {"format_version": FORMAT_VERSION, **payload, "tensors": index}
     path.mkdir(parents=True, exist_ok=True)
     write_atomic(path / BLOB_NAME, bytes(blob))
-    write_atomic(path / MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
+    write_json(path / MANIFEST_NAME, manifest)
     return path
 
 
@@ -111,6 +111,12 @@ def write_csv(target: str | Path, rows: list[list]) -> None:
     write_atomic(target, text.getvalue().encode())
 
 
+def write_json(target: str | Path, value) -> None:
+    """Write `value` as one indented JSON document (no trailing newline) through
+    `write_atomic`. Every JSON document the program writes comes through here."""
+    write_atomic(target, json.dumps(value, indent=2).encode())
+
+
 def write_jsonl(target: str | Path, records: list) -> None:
     """Write each of `records` as one JSON line through `write_atomic`; no
     records write an empty file."""
@@ -143,6 +149,14 @@ def is_int(value, minimum: int | None = None) -> bool:
     when one is given."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and (minimum is None or value >= minimum))
+
+
+def require_int(value, what: str, minimum: int) -> int:
+    """`value` as an int; ValueError naming `what` unless it is an integer
+    (`is_int`) >= `minimum`. Every integer setting is checked here."""
+    if not is_int(value, minimum):
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -211,7 +225,7 @@ def _index_entry(spec, path: Path) -> tuple:
             or not all(is_int(d, 0) for d in shape + [start, nbytes]):
         raise IntegrityError(f"malformed tensor index entry in {path}: {spec!r}")
     if kind not in ("bits", "f32"):
-        raise ContainerError(f"tensor {name!r} has unknown kind {kind!r}")
+        raise IntegrityError(f"tensor {name!r} in {path} has unknown kind {kind!r}")
     count = math.prod(shape)
     expected = (count + 7) // 8 if kind == "bits" else 4 * count
     if nbytes != expected:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import finite_f32, is_int, read_file, read_json, write_atomic
+from .container import finite_f32, is_int, read_file, read_json, write_atomic, write_json
 
 CPTN_MAGIC = b"CPTN"
 CPTN_VERSION = 1
@@ -44,11 +44,12 @@ class DatasetError(ValueError):
 
 
 def save_tensor(arr: np.ndarray, path: str | Path) -> None:
-    """Write `arr` as a CPTN file of float32 values; DatasetError, before
-    anything is written, if a value is not finite as float32."""
+    """Write `arr` as a CPTN file of float32 values; DatasetError naming the
+    file, before anything is written, if its rank is outside 1-4 or a value
+    is not finite as float32."""
     arr = np.asarray(arr)
     if not 1 <= arr.ndim <= 4:
-        raise ValueError(f"tensor rank must be 1-4, got {arr.ndim}")
+        raise DatasetError(f"{path}: tensor rank must be 1-4, got {arr.ndim}")
     dims = list(arr.shape) + [0] * (4 - arr.ndim)
     header = _CPTN_HEADER.pack(CPTN_MAGIC, CPTN_VERSION, arr.ndim, *dims)
     write_atomic(path, header + finite_f32(arr, DatasetError, str(path)).tobytes())
@@ -347,5 +348,5 @@ def generate_dataset(out_dir: str | Path, instances: int = 40, images_per_instan
         "items": items,
         "relevant": relevant,
     }
-    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2).encode())
+    write_json(out_dir / "manifest.json", manifest)
     return RetrievalDataset(out_dir, manifest)

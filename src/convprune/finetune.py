@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import is_int
+from .container import require_int
 from .dataset import RetrievalDataset
 from .network import (NetworkModel, clone_model, compact_model, expand_compact,
                       forward_features, init_network, validate_masks)
@@ -52,30 +52,17 @@ class FinetuneConfig:
 
     def __post_init__(self):
         for name in ("margin", "learning_rate"):
-            require_positive_real(self, name)
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool) or not 0 < value < np.inf):  # also rejects NaN
+                raise ValueError(f"{name.replace('_', ' ')} must be a finite number > 0, "
+                                 f"got {value!r}")
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            require_int(self, name, minimum)
+            require_int(getattr(self, name), name.replace("_", " "), minimum)
         if self.mining not in MINING_MODES:
             raise ValueError(f"unknown mining mode {self.mining!r}")
         if self.pooling not in POOLING_KINDS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
-
-
-def require_int(config, name: str, minimum: int) -> None:
-    """ValueError unless the field `name` of `config` is an integer (not a
-    bool) >= `minimum`."""
-    value = getattr(config, name)
-    if not is_int(value, minimum):
-        raise ValueError(f"{name.replace('_', ' ')} must be an integer >= {minimum}, "
-                         f"got {value!r}")
-
-
-def require_positive_real(config, name: str) -> None:
-    """ValueError unless the field `name` of `config` is a finite real (not a bool) > 0."""
-    value = getattr(config, name)
-    if (not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool)
-            or not 0 < value < np.inf):  # the comparisons also reject NaN
-        raise ValueError(f"{name.replace('_', ' ')} must be a finite number > 0, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):

@@ -75,13 +75,6 @@ def tinynet_architecture() -> dict:
     }
 
 
-def _natural(desc: dict, key: str, i: int, minimum: int, default=None) -> int:
-    value = desc.get(key, default)
-    if not container.is_int(value, minimum):
-        raise ValueError(f"layer {i}: conv {key} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _check_chain(architecture, conv) -> tuple[tuple[int, int, int], list]:
     """Parse an architecture {"input_shape": [C, H, W], "layers": [...]},
     validate its layer chain and build its layers; returns the input shape
@@ -108,8 +101,10 @@ def _check_chain(architecture, conv) -> tuple[tuple[int, int, int], list]:
     for i, desc in enumerate(layer_descs):
         kind = desc.get("kind")
         if kind == "conv":
-            k, s = _natural(desc, "kernel", i, 1), _natural(desc, "stride", i, 1, 1)
-            p = _natural(desc, "padding", i, 0, 0)
+            what = f"layer {i}: conv"
+            k = container.require_int(desc.get("kernel"), f"{what} kernel", 1)
+            s = container.require_int(desc.get("stride", 1), f"{what} stride", 1)
+            p = container.require_int(desc.get("padding", 0), f"{what} padding", 0)
             if "in_channels" in desc and desc["in_channels"] != c:
                 raise ShapeError(f"layer {i}: conv expects {desc['in_channels']} input "
                                  f"channels but receives {c}")
@@ -118,7 +113,7 @@ def _check_chain(architecture, conv) -> tuple[tuple[int, int, int], list]:
                                  f"kernel {k}x{k}")
             h = (h + 2 * p - k) // s + 1
             w = (w + 2 * p - k) // s + 1
-            shape = (_natural(desc, "channels", i, 1), c, k, k)
+            shape = (container.require_int(desc.get("channels"), f"{what} channels", 1), c, k, k)
             layers.append(conv(i, shape, s, p))
             c = shape[0]
         elif kind == "relu":

@@ -9,7 +9,6 @@ index removed first. Biases are never pruned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +52,7 @@ class PruneReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        container.write_atomic(path, json.dumps(self.to_dict(), indent=2).encode())
+        container.write_json(path, self.to_dict())
 
     def write_csv(self, path: str | Path) -> None:
         write_prune_csv(path, self.to_dict()["layers"])

@@ -9,7 +9,6 @@ when it is built.
 
 from __future__ import annotations
 
-import json
 import numbers
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -243,14 +242,14 @@ class EvalResult:
         counts = list(self.per_query_recall4.values())
         self.mean_recall4 = float(np.mean(counts)) if counts else None
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def write_json(self, path: str | Path) -> None:
+        container.write_json(path, {
             "mean_ap": self.mean_ap,
             "recall4": self.mean_recall4,
             "query_count": self.query_count,
             "per_query_ap": self.per_query_ap,
             "per_query_recall4": self.per_query_recall4,
-        }, indent=2)
+        })
 
     def write_csv(self, path: str | Path) -> None:
         container.write_csv(path, [

@@ -14,7 +14,7 @@ import pytest
 
 from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
 from convprune.container import (BLOB_NAME, MANIFEST_NAME, ContainerError, read_container,
-                                 write_csv, write_jsonl)
+                                 write_csv, write_json, write_jsonl)
 from convprune.dataset import DatasetError, RetrievalDataset, save_tensor
 from convprune.finetune import FinetuneConfig
 from convprune.network import load_model
@@ -450,6 +450,7 @@ ATOMIC_WRITERS = {
         "--out", str(path.parent.parent / "tuned"), "--epochs", "1", "--log", str(path)]),
     "cptn": lambda ws, path: save_tensor(np.zeros((2, 3)), path),
     "write-csv": lambda ws, path: write_csv(path, [["a", 0.5]]),
+    "write-json": lambda ws, path: write_json(path, {"a": 0.5}),
     "write-jsonl": lambda ws, path: write_jsonl(path, [{"a": 0.5}]),
 }
 

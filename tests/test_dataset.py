@@ -59,7 +59,7 @@ def test_tensor_file_rejects_nonzero_unused_dims(tmp_path):
 
 @pytest.mark.parametrize("shape", [(), (1, 1, 1, 1, 1)])
 def test_save_tensor_refuses_a_rank_outside_one_to_four(tmp_path, shape):
-    with pytest.raises(ValueError, match=f"rank must be 1-4, got {len(shape)}"):
+    with pytest.raises(DatasetError, match=f"t.cptn: tensor rank must be 1-4, got {len(shape)}"):
         save_tensor(np.ones(shape), tmp_path / "t.cptn")
     assert list(tmp_path.iterdir()) == []
 

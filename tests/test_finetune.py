@@ -311,6 +311,20 @@ def test_config_rejects_non_integer_counts(bad):
         FinetuneConfig(**bad)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("stride", 1.5, "layer 0: conv stride must be an integer >= 1, got 1.5"),
+    ("padding", -1, "layer 0: conv padding must be an integer >= 0, got -1"),
+    ("kernel", True, "layer 0: conv kernel must be an integer >= 1, got True"),
+    ("channels", "4", "layer 0: conv channels must be an integer >= 1, got '4'"),
+])
+def test_architecture_integers_share_the_config_message(key, value, message):
+    arch = {"input_shape": [1, 4, 4],
+            "layers": [{"kind": "conv", "channels": 2, "kernel": 3, key: value}]}
+    with pytest.raises(ValueError) as exc:
+        init_network(arch, seed=0)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Gradient correctness through the whole micro pipeline
 # ---------------------------------------------------------------------------

@@ -370,7 +370,9 @@ def _first_tensor(**changes):
     (lambda m: {**m, "tensors": m["tensors"] + m["tensors"][:1]}, "listed twice"),
     (_first_tensor(shape=[3, "2", 3, 3]), "malformed tensor index entry"),
     (_first_tensor(nbytes=4), "declares 4 bytes"),
-], ids=["list-manifest", "dict-index", "tensor-twice", "string-dim", "nbytes-off"])
+    (_first_tensor(kind="f64"), r"in .*model has unknown kind 'f64'"),
+], ids=["list-manifest", "dict-index", "tensor-twice", "string-dim", "nbytes-off",
+        "unknown-kind"])
 def test_load_rejects_malformed_tensor_index(tmp_path, replace, match):
     path = tmp_path / "model"
     save_model(init_network(small_arch(), seed=5), str(path))
@@ -548,6 +550,14 @@ def test_write_jsonl_writes_one_object_per_line(tmp_path):
     assert path.read_bytes() == b'{"a": 1}\n{"b": [2.5, null]}\n'
     container.write_jsonl(path, [])
     assert path.read_bytes() == b""
+
+
+def test_write_json_writes_one_indented_document(tmp_path):
+    path = tmp_path / "doc.json"
+    value = {"a": [1, 2.5], "b": {"c": None}, "d": "x"}
+    container.write_json(path, value)
+    assert path.read_bytes() == json.dumps(value, indent=2).encode()
+    assert not path.read_bytes().endswith(b"\n")
 
 
 def test_csv_is_written_only_by_the_container_module():

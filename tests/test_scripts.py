@@ -3,6 +3,7 @@ verdicts of the paired benchmark comparison."""
 
 import csv
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -150,6 +151,33 @@ def test_bench_pairs_rejects_fewer_than_one_pair(pairs, tmp_path, monkeypatch, c
     assert exc.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_pairs_keeps_the_previous_evidence_when_a_write_fails(tmp_path, monkeypatch):
+    bench = _script("bench_pairs")
+    monkeypatch.chdir(tmp_path)  # where BENCH_<label>.json lands
+    run = {"provenance": {"git_commit": "c", "source_sha256": "s"}, "correct": 1,
+           "attempted": 1, "failed": 0, "metrics": {"map": 0.5}}
+    monkeypatch.setattr(bench, "run_once", lambda checkout, cmd: run)
+    evidence = tmp_path / "BENCH_x.json"
+    evidence.write_text("previous\n")
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "sweep",
+            "--pairs", "1", "--label", "x"]
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        bench.main(argv)
+    assert evidence.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]
+
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert bench.main(argv) == 0
+    assert len(json.loads(evidence.read_text())["workloads"]["sweep"]["pairs"]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]
 
 
 TIER1_TAIL = """\
