@@ -26,6 +26,12 @@ each side's commit and source hash, the summary, with both sides' quartiles,
 and, per run, the end-to-end metrics, the output checks and the provenance
 line `perfbench/run.py` printed.
 
+Verdicts read the bounds of the change's `BENCHMARK.json` alone. So each
+side also records `benchmark_sha256`, over its `BENCHMARK.json` and the
+`*.py` and `*.md` files directly under its `perfbench/`, and when the two
+differ the record holds `"benchmark_differs": true` and a warning line is
+printed above the summary.
+
 The workload `tier1` runs the Tier-1 suite instead (`TIER1_COMMAND`, in the
 checkout, with its `src` on PYTHONPATH). Each run records its wall time
 `wall_s`, the passed, failed and error counts and the `--durations` list of
@@ -36,6 +42,7 @@ That summary is informational: `BENCHMARK.json` gates no Tier-1 metric.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -77,6 +84,18 @@ def command(bench: dict, workload: str, seed) -> list[str]:
     """The benchmark's command for one untraced run."""
     return bench["command"] + ["--workload", workload, "--seed", str(seed),
                                "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+
+
+def benchmark_sha256(checkout: Path) -> str:
+    """sha256 over `BENCHMARK.json` and every `*.py` and `*.md` file directly
+    under `perfbench/` in `checkout`, each name then its bytes, in sorted
+    name order."""
+    bench = checkout / "perfbench"
+    paths = [checkout / "BENCHMARK.json", *bench.glob("*.py"), *bench.glob("*.md")]
+    digest = hashlib.sha256()
+    for name in sorted(str(path.relative_to(checkout)) for path in paths):
+        digest.update(name.encode() + b"\0" + (checkout / name).read_bytes())
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, cmd: list[str]) -> dict:
@@ -168,7 +187,14 @@ def main(argv=None) -> int:
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     out_path = Path(f"BENCH_{args.label}.json")
     record = {"label": args.label, "command": command(bench, "<workload>", "<seed>"),
-              "checkouts": {}, "workloads": {}}
+              "checkouts": {side: {"benchmark_sha256": benchmark_sha256(checkouts[side])}
+                            for side in SIDES}}
+    record["benchmark_differs"] = len({c["benchmark_sha256"]
+                                       for c in record["checkouts"].values()}) > 1
+    record["workloads"] = {}
+    if record["benchmark_differs"]:
+        print("warning: the benchmark differs between the checkouts; verdicts use the "
+              "change's BENCHMARK.json")
     for workload in args.workload:
         pairs: list[dict] = []
         entry = record["workloads"][workload] = {"pairs": pairs}
@@ -182,8 +208,8 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run = (run_tier1(checkouts[side]) if tier1 else
                                     run_once(checkouts[side], command(bench, workload, seed)))
-                record["checkouts"].setdefault(side, {
-                    k: run["provenance"][k] for k in ("git_commit", "source_sha256")})
+                for key in ("git_commit", "source_sha256"):
+                    record["checkouts"][side].setdefault(key, run["provenance"][key])
             pairs.append(pair)
             entry["summary"] = summarize(pairs, TIER1_METRICS if tier1 else bench["end_to_end"])
             write_atomic(out_path, (json.dumps(record, indent=1) + "\n").encode())

@@ -55,34 +55,16 @@ def save_tensor(arr: np.ndarray, path: str | Path) -> None:
     write_atomic(path, header + finite_f32(arr, DatasetError, str(path)).tobytes())
 
 
-def load_tensor(path: str | Path) -> np.ndarray:
-    """A CPTN file as a float64 array; DatasetError if it is unreadable,
-    malformed or holds a non-finite value."""
-    return _widen(_read_tensor(path))
-
-
-def load_ppm(path: str | Path) -> np.ndarray:
-    """Binary PPM (P6, maxval 255) to a float64 [3,H,W] tensor scaled to
-    [0,1]; DatasetError if the file is unreadable, the header is malformed
-    or the pixel data is not exactly H*W*3 bytes."""
-    return _widen(_read_ppm(path))
-
-
 def load_image_file(path: str | Path) -> np.ndarray:
-    """An image file as it is stored: the read-only float32 array of a CPTN
-    file, or the read-only uint8 [3,H,W] pixels of a PPM file (suffix
-    `.ppm`). `_widen` turns either into what `load_tensor`/`load_ppm` return."""
+    """An image file as it is stored, read-only: the float32 array of a CPTN
+    file, or the uint8 [3,H,W] pixels of a binary PPM file (suffix `.ppm`,
+    P6). DatasetError naming the file if it is missing or unreadable, its
+    header is malformed, its payload is not the size the header gives, a
+    CPTN value is not finite, or a PPM maxval is not 255."""
     path = Path(path)
     if path.suffix == ".ppm":
         return _read_ppm(path)
     return _read_tensor(path)
-
-
-def _widen(stored: np.ndarray) -> np.ndarray:
-    """A fresh float64 copy of a stored image; uint8 pixels are scaled to [0,1]."""
-    if stored.dtype == np.uint8:
-        return stored.astype(np.float64) / 255.0
-    return stored.astype(np.float64)
 
 
 def _read_tensor(path: str | Path) -> np.ndarray:
@@ -240,7 +222,6 @@ class RetrievalDataset:
                 and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                         for ids in relevant.values())):
             raise DatasetError("manifest relevant must map each query id to a list of item ids")
-        self.manifest = manifest
         self.image_shape = tuple(shape)
         self.items = [_manifest_item(it) for it in items]
         self.relevant = {q: list(ids) for q, ids in relevant.items()}
@@ -288,9 +269,11 @@ class RetrievalDataset:
         return self._by_id[item_id].label
 
     def load_image(self, item_id: str) -> np.ndarray:
-        """A fresh float64 copy of the image, bitwise what `load_tensor` or
-        `load_ppm` returns for its file."""
-        return _widen(self._images[item_id])
+        """A fresh float64 copy of the held image; PPM pixels are scaled to [0,1]."""
+        stored = self._images[item_id]
+        if stored.dtype == np.uint8:
+            return stored.astype(np.float64) / 255.0
+        return stored.astype(np.float64)
 
     @classmethod
     def load(cls, root: str | Path) -> "RetrievalDataset":

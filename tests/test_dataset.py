@@ -12,10 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convprune import dataset as dataset_module
+from convprune.container import read_json
 from convprune.dataset import (DatasetError, RetrievalDataset, generate_dataset,
-                               load_image_file, load_ppm, load_tensor, save_tensor)
+                               load_image_file, save_tensor)
 
 from util import build_dataset
+
+
+def _manifest(root) -> dict:
+    """The dataset manifest as its file stores it, to mutate."""
+    return read_json(Path(root) / "manifest.json", DatasetError)
 
 
 def test_tensor_file_roundtrip(tmp_path):
@@ -24,9 +31,9 @@ def test_tensor_file_roundtrip(tmp_path):
         arr = rng.standard_normal(shape)
         path = tmp_path / "t.cptn"
         save_tensor(arr, path)
-        back = load_tensor(path)
-        assert back.shape == shape
-        assert np.array_equal(back, arr.astype(np.float32).astype(np.float64))
+        back = load_image_file(path)
+        assert back.shape == shape and back.dtype == np.float32 and not back.flags.writeable
+        assert np.array_equal(back, arr.astype(np.float32))
 
 
 def test_tensor_file_rejects_bad_magic(tmp_path):
@@ -36,7 +43,7 @@ def test_tensor_file_rejects_bad_magic(tmp_path):
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="magic"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 def test_tensor_file_rejects_unsupported_version(tmp_path):
@@ -46,7 +53,7 @@ def test_tensor_file_rejects_unsupported_version(tmp_path):
     struct.pack_into("<H", raw, 4, 2)
     path.write_bytes(bytes(raw))
     with pytest.raises(DatasetError, match="unsupported tensor format version 2"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 def test_tensor_file_rejects_nonzero_unused_dims(tmp_path):
@@ -54,7 +61,7 @@ def test_tensor_file_rejects_nonzero_unused_dims(tmp_path):
     path.write_bytes(struct.pack("<4sHH4I", b"CPTN", 1, 3, 3, 2, 2, 7)
                      + np.ones(12, dtype="<f4").tobytes())
     with pytest.raises(DatasetError, match=r"t\.cptn: rank 3 header has nonzero unused dims \[7\]"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 @pytest.mark.parametrize("shape", [(), (1, 1, 1, 1, 1)])
@@ -70,7 +77,7 @@ def test_tensor_file_rejects_truncation(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="payload"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 def test_ppm_ingestion(tmp_path):
@@ -78,20 +85,19 @@ def test_ppm_ingestion(tmp_path):
     pixels = bytes([0, 0, 0, 255, 0, 0, 0, 255, 0, 0, 0, 255])
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P6\n# test image\n2 2\n255\n" + pixels)
-    img = load_ppm(path)
-    assert img.shape == (3, 2, 2)
-    assert img[0, 0, 0] == 0.0
-    assert img[0, 0, 1] == 1.0  # red pixel
-    assert img[1, 1, 0] == 1.0  # green pixel
-    assert img[2, 1, 1] == 1.0  # blue pixel
-    assert load_image_file(path).shape == (3, 2, 2)
+    img = load_image_file(path)
+    assert img.shape == (3, 2, 2) and img.dtype == np.uint8 and not img.flags.writeable
+    assert img[0, 0, 0] == 0
+    assert img[0, 0, 1] == 255  # red pixel
+    assert img[1, 1, 0] == 255  # green pixel
+    assert img[2, 1, 1] == 255  # blue pixel
 
 
 def test_ppm_rejects_non_p6(tmp_path):
     path = tmp_path / "img.ppm"
     path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
     with pytest.raises(ValueError, match="P6"):
-        load_ppm(path)
+        load_image_file(path)
 
 
 def test_generate_deterministic(tmp_path):
@@ -159,22 +165,23 @@ def test_generate_rejects_tiny_counts(tmp_path):
 def test_manifest_validation_rejects_bad_relevance(tmp_path):
     rng = np.random.default_rng(3)
     images = [[rng.uniform(size=(1, 4, 4)) for _ in range(3)] for _ in range(2)]
-    ds = build_dataset(tmp_path / "ok", images)
-    manifest = dict(ds.manifest)
+    build_dataset(tmp_path / "ok", images)
+    original = _manifest(tmp_path / "ok")
+    manifest = dict(original)
     manifest["relevant"] = {"i000_v0": []}  # empty relevant set
     with pytest.raises(ValueError, match="empty relevant"):
         RetrievalDataset(tmp_path / "ok", manifest)
     manifest["relevant"] = {"i000_v0": ["i000_v0"]}  # self-relevance
     with pytest.raises(ValueError, match="itself"):
         RetrievalDataset(tmp_path / "ok", manifest)
-    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v1": ["i000_v2"]}  # index item
+    manifest["relevant"] = {**original["relevant"], "i000_v1": ["i000_v2"]}  # index item
     with pytest.raises(DatasetError, match="'i000_v1', which is not a query item"):
         RetrievalDataset(tmp_path / "ok", manifest)
-    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v0": ["i000_v1", "i000_v1",
-                                                                    "i000_v2"]}
+    manifest["relevant"] = {**original["relevant"],
+                            "i000_v0": ["i000_v1", "i000_v1", "i000_v2"]}
     with pytest.raises(DatasetError, match="more than once"):
         RetrievalDataset(tmp_path / "ok", manifest)
-    manifest["relevant"] = {**ds.manifest["relevant"], "i000_v0": ["i001_v1", "i001_v2"]}
+    manifest["relevant"] = {**original["relevant"], "i000_v0": ["i001_v1", "i001_v2"]}
     with pytest.raises(DatasetError, match="'i001_v1' of another instance"):
         RetrievalDataset(tmp_path / "ok", manifest)
 
@@ -182,8 +189,8 @@ def test_manifest_validation_rejects_bad_relevance(tmp_path):
 def test_load_rejects_shape_mismatch(tmp_path):
     rng = np.random.default_rng(4)
     images = [[rng.uniform(size=(1, 4, 4)) for _ in range(2)] for _ in range(2)]
-    ds = build_dataset(tmp_path / "m", images)
-    manifest = dict(ds.manifest)
+    build_dataset(tmp_path / "m", images)
+    manifest = _manifest(tmp_path / "m")
     manifest["image_shape"] = [1, 8, 8]
     with pytest.raises(DatasetError, match="declares"):
         RetrievalDataset(tmp_path / "m", manifest)
@@ -262,7 +269,8 @@ def _item_update(**changes):
     lambda m: m["items"].append(dict(m["items"][1])),
 ])
 def test_malformed_manifest_raises_dataset_error(tmp_path, corrupt):
-    manifest = _tiny_dataset(tmp_path).manifest
+    _tiny_dataset(tmp_path)
+    manifest = _manifest(tmp_path)
     corrupt(manifest)
     _write_manifest(tmp_path, manifest)
     with pytest.raises(DatasetError):
@@ -291,7 +299,7 @@ def test_tensor_file_rejects_non_finite_payload(tmp_path, value):
     path.write_bytes(struct.pack("<4sHH4I", b"CPTN", 1, 1, 3, 0, 0, 0)
                      + np.array([1.0, value, 2.0], dtype="<f4").tobytes())
     with pytest.raises(DatasetError, match="non-finite"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39], ids=["nan", "inf", "past-float32"])
@@ -307,7 +315,7 @@ def test_tensor_file_rejects_header_whose_size_overflows(tmp_path):
     path = tmp_path / "t.cptn"
     path.write_bytes(struct.pack("<4sHH4I", b"CPTN", 1, 4, 2 ** 16, 2 ** 16, 2 ** 16, 2 ** 16))
     with pytest.raises(DatasetError, match="payload"):
-        load_tensor(path)
+        load_image_file(path)
 
 
 @pytest.mark.parametrize("raw", [
@@ -319,7 +327,7 @@ def test_ppm_rejects_malformed_files(tmp_path, raw):
     path = tmp_path / "img.ppm"
     path.write_bytes(raw)
     with pytest.raises(DatasetError):
-        load_ppm(path)
+        load_image_file(path)
 
 
 def _ppm_bytes(img: np.ndarray) -> bytes:
@@ -336,7 +344,7 @@ def test_corrupted_dataset_loads_consistently_or_raises(target, truncate, where,
         root = Path(tmp)
         ds = _tiny_dataset(root)
         ppm_item = ds.items[-1]
-        manifest = ds.manifest
+        manifest = _manifest(root)
         manifest["items"][-1]["path"] = "tensors/last.ppm"
         (root / "tensors" / "last.ppm").write_bytes(_ppm_bytes(ds.load_image(ppm_item.item_id)))
         _write_manifest(root, manifest)
@@ -370,7 +378,7 @@ def test_corrupted_dataset_loads_consistently_or_raises(target, truncate, where,
 
 def _dataset_with_ppm(root):
     ds = _tiny_dataset(root)
-    manifest = ds.manifest
+    manifest = _manifest(root)
     manifest["items"][-1]["path"] = "tensors/last.ppm"
     (root / "tensors" / "last.ppm").write_bytes(_ppm_bytes(ds.load_image(ds.items[-1].item_id)))
     _write_manifest(root, manifest)
@@ -390,11 +398,29 @@ def test_cached_images_are_bitwise_the_file_loaders(tmp_path):
     ds = _dataset_with_ppm(tmp_path)
     for item in ds.items:
         path = tmp_path / item.path
-        expected = load_ppm(path) if item.path.endswith(".ppm") else load_tensor(path)
+        stored = load_image_file(path)  # widened as load_image widens it
+        expected = (stored.astype(np.float64) / 255.0 if stored.dtype == np.uint8
+                    else stored.astype(np.float64))
         for _ in range(2):  # each call widens the held image afresh
             img = ds.load_image(item.item_id)
             assert img.dtype == np.float64 and img.strides == expected.strides
             assert img.tobytes() == expected.tobytes()
+
+
+def test_each_image_file_is_read_once_through_the_module_global(tmp_path, monkeypatch):
+    generate_dataset(tmp_path, instances=3, images_per_instance=7, seed=0)
+    reads = []
+
+    def counting_reader(path):
+        reads.append(path)
+        return load_image_file(path)
+    monkeypatch.setattr(dataset_module, "load_image_file", counting_reader)
+    ds = RetrievalDataset.load(tmp_path)
+    assert reads == [tmp_path / it.path for it in ds.items]  # one call per item, in item order
+    assert len(set(reads)) == len(ds.items) == 21
+    for it in ds.items:
+        ds.load_image(it.item_id)
+    assert len(reads) == 21
 
 
 def test_cache_holds_stored_precision(tmp_path):
@@ -421,6 +447,6 @@ def test_unreadable_files_raise_dataset_error(tmp_path, monkeypatch, target):
     message = f"cannot read .*{name}: Permission denied"
     if item is not None:
         with pytest.raises(DatasetError, match=message):
-            (load_ppm if target == "ppm" else load_tensor)(tmp_path / item.path)
+                load_image_file(tmp_path / item.path)
     with pytest.raises(DatasetError, match=message):
         RetrievalDataset.load(tmp_path)

@@ -371,6 +371,25 @@ def test_triplet_tape_records_only_what_backward_cannot_rebuild(pooling):
     assert all(tape.gradient(layer.weights) is not None for _, layer in model.conv_layers())
 
 
+@pytest.mark.parametrize("keep", [1.0, 0.1], ids=["dense", "compact-h1-0.1"])
+@pytest.mark.parametrize("pooling", ["sqp", "rmac"])
+def test_triplet_stack_is_bitwise_three_rank3_passes(small_dataset, small_arch, pooling, keep):
+    model = init_network(small_arch, seed=3)
+    model = compact_model(apply_pruning(model, salience_h1(model), keep)[0])[0]
+    triplet = sample_triplets(small_dataset, 1, seed=2)[0]
+    tape = GradientTape()
+    dq, dp, dn = (descriptor_of(model, small_dataset.load_image(i), pooling, tape=tape)
+                  for i in (triplet.query, triplet.positive, triplet.negative))
+    loss = triplet_loss_op(dq.values, dp.values, dn.values, 2.0, tape)  # margin 2: active
+    tape.backward(loss)
+    loss_value, grads = finetune_module._triplet_pass(model, small_dataset, triplet, pooling, 2.0)
+    assert loss_value > 0.0 and loss_value == float(loss)
+    assert len(grads) == len(model.conv_layers())
+    for (gw, gb), (_, layer) in zip(grads, model.conv_layers()):
+        assert gw.tobytes() == tape.gradient(layer.weights).tobytes()
+        assert gb.tobytes() == tape.gradient(layer.bias).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Baseline training
 # ---------------------------------------------------------------------------

@@ -180,6 +180,38 @@ def test_bench_pairs_keeps_the_previous_evidence_when_a_write_fails(tmp_path, mo
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]
 
 
+def test_bench_pairs_flags_a_benchmark_that_differs_between_checkouts(tmp_path, monkeypatch,
+                                                                      capsys):
+    bench = _script("bench_pairs")
+    run = {"provenance": {"git_commit": "c", "source_sha256": "s"}, "correct": 1,
+           "attempted": 1, "failed": 0, "metrics": {"map": 0.5}}
+    monkeypatch.setattr(bench, "run_once", lambda checkout, cmd: run)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "_results").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+        (tmp_path / side / "perfbench" / "run.py").write_text("print()\n")
+        # run output is not part of the benchmark
+        (tmp_path / side / "perfbench" / "_results" / "run.json").write_text(side)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", "parent", "--change", "change", "--workload", "sweep",
+            "--pairs", "1", "--label", "x"]
+    assert bench.main(argv) == 0
+    assert json.loads((tmp_path / "BENCH_x.json").read_text())["benchmark_differs"] is False
+    assert "warning" not in capsys.readouterr().out
+
+    spec["end_to_end"][0]["bound"] *= 2  # a loosened bound
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    assert bench.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["benchmark_differs"] is True
+    digests = [record["checkouts"][side]["benchmark_sha256"] for side in ("parent", "change")]
+    assert digests[0] != digests[1]
+    out = capsys.readouterr().out.splitlines()
+    warnings = [k for k, line in enumerate(out) if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0] < out.index("sweep: 1 pairs")
+
+
 TIER1_TAIL = """\
 ........................................................................ [ 98%]
 .......F..                                                               [100%]
