@@ -186,13 +186,13 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     out_path = Path(f"BENCH_{args.label}.json")
+    digests = {side: benchmark_sha256(checkouts[side]) for side in SIDES}
+    differs = digests["parent"] != digests["change"]
     record = {"label": args.label, "command": command(bench, "<workload>", "<seed>"),
-              "checkouts": {side: {"benchmark_sha256": benchmark_sha256(checkouts[side])}
-                            for side in SIDES}}
-    record["benchmark_differs"] = len({c["benchmark_sha256"]
-                                       for c in record["checkouts"].values()}) > 1
-    record["workloads"] = {}
-    if record["benchmark_differs"]:
+              "benchmark_differs": differs,
+              "checkouts": {side: {"benchmark_sha256": d} for side, d in digests.items()},
+              "workloads": {}}
+    if differs:
         print("warning: the benchmark differs between the checkouts; verdicts use the "
               "change's BENCHMARK.json")
     for workload in args.workload:
