@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import container
 from . import dataset as ds
@@ -57,8 +58,7 @@ class ExperimentConfig:
         for name in ("data", "model", "out"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a path string, got {getattr(self, name)!r}")
-        tags = [_point(h, t, p)[0] for p in self.poolings for h in self.heuristics
-                for t in self.keep_fractions]
+        tags = [point.tag for point in sweep_points(self)]
         repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
         if repeated:  # a repeated point would overwrite the first one's files
             raise ValueError(f"sweep points repeat: {repeated}")
@@ -212,9 +212,8 @@ def cmd_extract(args) -> int:
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     descs = split_descriptors(model, dataset, args.split, args.pooling)
-    out = Path(args.out)
-    _descriptor_index(dataset, descs).save(out)
-    print(f"extracted {len(descs)} {args.pooling} descriptors to {out}")
+    _descriptor_index(dataset, descs).save(args.out)
+    print(f"extracted {len(descs)} {args.pooling} descriptors to {args.out}")
     return 0
 
 
@@ -232,21 +231,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     payload = container.read_json(args.input, ValueError)
-    out = Path(args.out)
     try:
         if "layers" in payload:  # prune report
-            pruner.write_prune_csv(out, payload["layers"])
+            pruner.write_prune_csv(args.out, payload["layers"])
         elif "per_query_ap" in payload:  # eval result
             result = retrieval.EvalResult(payload["per_query_ap"], payload["per_query_recall4"],
                                           payload["query_count"])
             if (payload["mean_ap"], payload["recall4"]) != (result.mean_ap, result.mean_recall4):
                 raise ValueError("mean_ap or recall4 is not the mean of its per-query values")
-            result.write_csv(out)
+            result.write_csv(args.out)
         else:
             raise ValueError("no 'layers' or 'per_query_ap' key")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{args.input} is not a prune report or an eval result ({exc!r})") from exc
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -254,16 +252,54 @@ def cmd_report(args) -> int:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(cfg: ExperimentConfig) -> Path:
-    """prune -> evaluate -> fine-tune -> evaluate for every sweep point.
+class SweepPoint(NamedTuple):
+    """One sweep point: its metrics.csv rows begin with `fields`, and `tag` names its files."""
+    heuristic: str
+    keep: float
+    pooling: str
 
-    Before it creates `out`, checks that the baseline takes the dataset's
-    images and that the train split can form triplets. Rewrites metrics.csv
-    atomically after each row, and the JSON-lines event log (each
-    `finetuned` event with its epoch log, whose entries carry the worker
-    count) after each event, so partial results survive a failure; models
-    and per-point prune reports land next to them.
-    """
+    @property
+    def fields(self) -> list[str]:
+        return [self.heuristic, f"{self.keep:g}", self.pooling]
+
+    @property
+    def tag(self) -> str:
+        return "{}_t{}_{}".format(*self.fields)
+
+
+def sweep_points(cfg: ExperimentConfig) -> list[SweepPoint]:
+    """The sweep's points in run order: pooling-major, then heuristic, then keep fraction."""
+    return [SweepPoint(h, t, p) for p in cfg.poolings for h in cfg.heuristics
+            for t in cfg.keep_fractions]
+
+
+def _run_point(point: SweepPoint, smap, baseline, dataset, ft_cfg: FinetuneConfig, out: Path):
+    """Prune, evaluate, fine-tune and evaluate again, writing the point's reports, model
+    and index under `out`; yields a (metrics.csv row, event) pair after each evaluation."""
+    pruned, report = pruner.apply_pruning(baseline, smap, point.keep)
+    report.write_json(out / "reports" / f"prune_{point.tag}.json")
+    report.write_csv(out / "reports" / f"prune_{point.tag}.csv")
+    before = evaluate_model(pruned, dataset, point.pooling)
+    yield ([*point.fields, "pruned", before.mean_ap, before.mean_recall4],
+           dict(stage="pruned", point=point.tag, map=before.mean_ap))
+    tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
+    net.save_model(tuned, str(out / "models" / point.tag))
+    after = evaluate_model(tuned, dataset, point.pooling,
+                           save_index_to=out / "descriptors" / point.tag)
+    yield ([*point.fields, "finetuned", after.mean_ap, after.mean_recall4],
+           dict(stage="finetuned", point=point.tag, map=after.mean_ap, epochs=epochs))
+
+
+def run_pipeline(cfg: ExperimentConfig) -> Path:
+    """prune -> evaluate -> fine-tune -> evaluate for each of `sweep_points(cfg)`.
+
+    Checks, before the first write, that the baseline takes the dataset's
+    images and that the train split can form triplets. Runs each point in
+    `_run_point` on the salience map of its heuristic and pooling, gathered
+    once, and rewrites metrics.csv and the JSON-lines event log atomically
+    after each row and event it yields (a `finetuned` event carries the epoch
+    log), so partial results survive a failed point, which logs an `error`
+    event and fails the run once every point has run."""
     if not cfg.data or not cfg.model or not cfg.out:
         raise ValueError("pipeline needs data, model, and out paths")
     dataset = ds.RetrievalDataset.load(cfg.data)
@@ -273,61 +309,33 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
                          f"dataset {cfg.data} holds {dataset.image_shape}")
     sample_triplets(dataset, 0)  # fine-tuning's checks on the train split
     out = Path(cfg.out)
-    for sub in ("models", "reports", "descriptors"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     metrics_path, log_path = out / "metrics.csv", out / "log.jsonl"
     rows = [["heuristic", "keep_fraction", "pooling", "phase", "map", "recall4"]]
     events: list[dict] = []  # each run starts its own log, as it does metrics.csv
     container.write_csv(metrics_path, rows)
     container.write_jsonl(log_path, events)
-    failed = False
+    smaps: dict[tuple[str, str], salience.SalienceMap] = {}
     stats = None  # h3/h4's activation statistics, gathered once for every point
-    for pooling in cfg.poolings:
-        ft_cfg = cfg.finetune_config(pooling)
-        for heuristic in cfg.heuristics:
-            smap = None  # one map per heuristic and pooling, gathered at its first point
-            for keep in cfg.keep_fractions:
-                tag, fields = _point(heuristic, keep, pooling)
-                try:
-                    if smap is None:
-                        if heuristic in ("h3", "h4") and stats is None:
-                            stats = _activation_stats(baseline, dataset)
-                        smap = _salience_for(heuristic, baseline, dataset, ft_cfg, stats)
-                    pruned, report = pruner.apply_pruning(baseline, smap, keep)
-                    report.write_json(out / "reports" / f"prune_{tag}.json")
-                    report.write_csv(out / "reports" / f"prune_{tag}.csv")
-                    before = evaluate_model(pruned, dataset, pooling)
-                    rows.append([*fields, "pruned", before.mean_ap, before.mean_recall4])
-                    container.write_csv(metrics_path, rows)
-                    events.append(dict(time=time.time(), stage="pruned", point=tag,
-                                       map=before.mean_ap))
-                    container.write_jsonl(log_path, events)
-
-                    tuned, epochs = run_finetune(pruned, dataset, ft_cfg)
-                    net.save_model(tuned, str(out / "models" / tag))
-                    after = evaluate_model(tuned, dataset, pooling,
-                                           save_index_to=out / "descriptors" / tag)
-                    rows.append([*fields, "finetuned", after.mean_ap, after.mean_recall4])
-                    container.write_csv(metrics_path, rows)
-                    events.append(dict(time=time.time(), stage="finetuned", point=tag,
-                                       map=after.mean_ap, epochs=epochs))
-                    container.write_jsonl(log_path, events)
-                except Exception as exc:  # keep partial results, fail the run
-                    failed = True
-                    events.append(dict(time=time.time(), stage="error", point=tag,
-                                       error=str(exc)))
-                    container.write_jsonl(log_path, events)
-                    print(f"point {tag} failed: {exc}", file=sys.stderr)
-    if failed:
+    for point in sweep_points(cfg):
+        ft_cfg = cfg.finetune_config(point.pooling)
+        key = (point.heuristic, point.pooling)
+        try:
+            if key not in smaps:
+                if point.heuristic in ("h3", "h4") and stats is None:
+                    stats = _activation_stats(baseline, dataset)
+                smaps[key] = _salience_for(point.heuristic, baseline, dataset, ft_cfg, stats)
+            for row, event in _run_point(point, smaps[key], baseline, dataset, ft_cfg, out):
+                rows.append(row)
+                container.write_csv(metrics_path, rows)
+                events.append({"time": time.time(), **event})
+                container.write_jsonl(log_path, events)
+        except Exception as exc:  # keep partial results, fail the run
+            events.append(dict(time=time.time(), stage="error", point=point.tag, error=str(exc)))
+            container.write_jsonl(log_path, events)
+            print(f"point {point.tag} failed: {exc}", file=sys.stderr)
+    if any(event["stage"] == "error" for event in events):
         raise RuntimeError(f"one or more pipeline points failed; partial results in {out}")
     return out
-
-
-def _point(heuristic: str, keep: float, pooling: str) -> tuple[str, list[str]]:
-    """A sweep point's tag, which names its model, reports and index, and the
-    fields its metrics.csv rows begin with; both print the keep fraction `:g`."""
-    fields = [heuristic, f"{keep:g}", pooling]
-    return "{}_t{}_{}".format(*fields), fields
 
 
 def cmd_pipeline(args) -> int:

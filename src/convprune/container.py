@@ -67,7 +67,6 @@ def write_container(path: str | Path, payload: dict, tensors: list[tuple[str, np
         })
         blob.extend(data)
     manifest = {"format_version": FORMAT_VERSION, **payload, "tensors": index}
-    path.mkdir(parents=True, exist_ok=True)
     write_atomic(path / BLOB_NAME, bytes(blob))
     write_json(path / MANIFEST_NAME, manifest)
     return path
@@ -84,19 +83,23 @@ def finite_f32(arr, error: type[Exception], what: str) -> np.ndarray:
 
 
 def write_atomic(target: str | Path, data: bytes) -> None:
-    """Write `data` to a temp file next to `target`, then rename it over
-    `target`, so a failed write leaves the previous file and no temp file.
-    `write_container` replaces the blob first and the manifest last, so a
-    write that fails midway leaves the previous container or one whose old
-    manifest does not match the new blob (`IntegrityError`)."""
+    """Create `target`'s directories, write `data` to a temp file next to it and
+    rename that over `target`; a failed write leaves the previous file and no
+    temp file, and raises OSError naming `target`. `write_container` replaces the
+    blob first and the manifest last, so a write that fails midway leaves the
+    previous container or one whose old manifest does not match the new blob (`IntegrityError`)."""
     target = Path(target)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def write_csv(target: str | Path, rows: list[list]) -> None:

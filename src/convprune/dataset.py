@@ -293,9 +293,6 @@ def generate_dataset(out_dir: str | Path, instances: int = 40, images_per_instan
     if c != 3:
         raise ValueError(f"renderer produces 3-channel images, got shape {shape}")
     out_dir = Path(out_dir)
-    tensor_dir = out_dir / "tensors"
-    tensor_dir.mkdir(parents=True, exist_ok=True)
-
     items = []
     relevant: dict[str, list[str]] = {}
     for inst in range(instances):

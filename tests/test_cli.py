@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convprune.cli import ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline
+from convprune.cli import (ExperimentConfig, cmd_report, evaluate_model, main, run_pipeline,
+                           sweep_points)
 from convprune.container import (BLOB_NAME, MANIFEST_NAME, ContainerError, read_container,
                                  write_csv, write_json, write_jsonl)
 from convprune.dataset import DatasetError, RetrievalDataset, save_tensor
@@ -666,6 +667,73 @@ def test_sweep_writes_the_same_bytes_on_one_worker_and_on_two(workspace, monkeyp
             assert manifest_without_timings(1, rel) == manifest_without_timings(2, rel), rel
         else:
             assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+
+
+def test_sweep_runs_pooling_major_then_heuristic_then_keep(workspace):
+    out = workspace / "order"
+    cfg = ExperimentConfig(heuristics=["h3", "h1"], keep_fractions=[0.5], poolings=["rmac", "sqp"],
+                           epochs=1, seed=4, data=str(workspace / "data"),
+                           model=str(workspace / "baseline"), out=str(out))
+    points = sweep_points(cfg)
+    assert [p.fields for p in points] == [["h3", "0.5", "rmac"], ["h1", "0.5", "rmac"],
+                                          ["h3", "0.5", "sqp"], ["h1", "0.5", "sqp"]]
+    run_pipeline(cfg)
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["phase"] for r in rows] == ["pruned", "finetuned"] * len(points)
+    fields = [[r["heuristic"], r["keep_fraction"], r["pooling"]] for r in rows]
+    assert fields[::2] == fields[1::2] == [p.fields for p in points]
+    tags = sorted(p.tag for p in points)
+    assert sorted(p.name for p in (out / "models").iterdir()) == tags
+    assert sorted(p.name for p in (out / "descriptors").iterdir()) == tags
+    assert sorted(p.name for p in (out / "reports").iterdir()) == sorted(
+        f"prune_{tag}.{ext}" for tag in tags for ext in ("csv", "json"))
+
+
+def _write_report_input(ws, tmp):
+    _report(ws).write_json(tmp / "input.json")
+    return tmp / "input.json"
+
+
+# each writer's argv with `target` as the output under test; its other outputs go to `tmp`
+OUTPUT_FLAGS = {
+    "prune --report": lambda ws, tmp, target: [
+        "prune", "--model", str(ws / "baseline"), "--heuristic", "h1", "--keep", "0.5",
+        "--out", str(tmp / "pruned"), "--report", str(target)],
+    "evaluate --out": lambda ws, tmp, target: [
+        "evaluate", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(target)],
+    "evaluate --csv": lambda ws, tmp, target: [
+        "evaluate", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(tmp / "eval.json"), "--csv", str(target)],
+    "finetune --log": lambda ws, tmp, target: [
+        "finetune", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(tmp / "tuned"), "--epochs", "1", "--log", str(target)],
+    "report --out": lambda ws, tmp, target: [
+        "report", "--input", str(_write_report_input(ws, tmp)), "--out", str(target)],
+    "extract --out": lambda ws, tmp, target: [
+        "extract", "--model", str(ws / "baseline"), "--data", str(ws / "data"),
+        "--out", str(target)],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(OUTPUT_FLAGS))
+def test_writers_create_missing_directories_and_name_a_failed_target(writer, workspace, tmp_path,
+                                                                     capsys):
+    argv = OUTPUT_FLAGS[writer]
+    target = tmp_path / "nodir" / "sub" / "out"
+    assert main(argv(workspace, tmp_path, target)) == 0
+    assert target.is_file() or (target / MANIFEST_NAME).is_file()
+    # a container's first file is its blob
+    target = tmp_path / "taken"
+    blocked = target / BLOB_NAME if writer == "extract --out" else target
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv(workspace, tmp_path, target)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: "), err
+    assert ".tmp" not in err[0]
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 def test_pipeline_rerun_starts_a_fresh_log(workspace):
