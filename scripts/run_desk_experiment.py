@@ -51,11 +51,12 @@ def parse_args(argv=None):
     p.add_argument("--data", default="", help="existing dataset dir (default: generate)")
     p.add_argument("--instances", type=int, default=40)
     p.add_argument("--images", type=int, default=8)
-    p.add_argument("--heuristics", default="h1,h2,h3,h4")
-    p.add_argument("--keep", default="0.5,0.4,0.3,0.2,0.1")
-    p.add_argument("--poolings", default="sqp,rmac")
+    defaults = ExperimentConfig()  # the sweep defaults are the pipeline's
+    p.add_argument("--heuristics", default=",".join(defaults.heuristics))
+    p.add_argument("--keep", default=",".join(f"{t:g}" for t in defaults.keep_fractions))
+    p.add_argument("--poolings", default=",".join(defaults.poolings))
     p.add_argument("--seeds", type=_seeds, default="0,1,2")
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
     return p.parse_args(argv)
 
 

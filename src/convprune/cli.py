@@ -3,7 +3,8 @@
 Subcommands: gen-dataset, train, prune, finetune, extract, evaluate, report,
 pipeline. Every command is deterministic given its flags and seeds; all
 randomness flows from explicit seeds. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+failure, 2 usage error. A command with two outputs checks the second one's
+target (`container.check_target`) before it writes the first.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if args.report:
+        container.check_target(args.report)
     model = net.load_model(args.model)
     cfg = FinetuneConfig(**settings_for(FinetuneConfig, args))
     dataset = ds.RetrievalDataset.load(args.data) if args.data else None
@@ -197,6 +200,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    if args.log:
+        container.check_target(args.log)
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     tuned, log = run_finetune(model, dataset, FinetuneConfig(**settings_for(FinetuneConfig, args)))
@@ -218,6 +223,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.csv:
+        container.check_target(args.csv)
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     result = evaluate_model(model, dataset, args.pooling)

@@ -82,12 +82,31 @@ def finite_f32(arr, error: type[Exception], what: str) -> np.ndarray:
     return values
 
 
+def check_target(target: str | Path) -> None:
+    """OSError("cannot write <target>: <reason>") unless `target` can name a file:
+    its name is not empty, `.` or `..`, it is not an existing directory, and its
+    nearest existing ancestor is a directory. `write_atomic` calls it first, and
+    a command with two outputs calls it on the second before writing the first."""
+    target = Path(target)
+    if target.name in ("", ".", ".."):
+        reason = "not a file name"
+    elif target.is_dir():
+        reason = "is a directory"
+    else:
+        ancestor = next(p for p in target.parents if p.exists())
+        reason = None if ancestor.is_dir() else f"{ancestor} is not a directory"
+    if reason:
+        raise OSError(f"cannot write {target}: {reason}")
+
+
 def write_atomic(target: str | Path, data: bytes) -> None:
     """Create `target`'s directories, write `data` to a temp file next to it and
     rename that over `target`; a failed write leaves the previous file and no
-    temp file, and raises OSError naming `target`. `write_container` replaces the
+    temp file, and raises OSError naming `target` (`check_target` refuses a
+    target before anything is written). `write_container` replaces the
     blob first and the manifest last, so a write that fails midway leaves the
     previous container or one whose old manifest does not match the new blob (`IntegrityError`)."""
+    check_target(target)
     target = Path(target)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:

@@ -189,8 +189,8 @@ def clone_model(model: NetworkModel) -> NetworkModel:
 
 
 def compact_model(model: NetworkModel) -> tuple[NetworkModel, dict[int, tuple]]:
-    """The smaller dense network that `model`'s masks leave, and, by conv
-    layer index, the (output, input) channels of `model` it keeps.
+    """The smaller dense network that `model`'s masks leave, with empty `meta`,
+    and, by conv layer index, the (output, input) channels of `model` it keeps.
 
     Walking from the last conv to the first, a conv keeps the output channels
     that some live mask entry of the next conv's kept outputs reads; the last
@@ -227,8 +227,7 @@ def compact_model(model: NetworkModel) -> tuple[NetworkModel, dict[int, tuple]]:
                                     stride=layer.stride, padding=layer.padding))
         else:
             layers.append(type(layer)())
-    return (NetworkModel(input_shape=model.input_shape, layers=layers,
-                         meta=copy.deepcopy(model.meta)), kept)
+    return NetworkModel(input_shape=model.input_shape, layers=layers), kept
 
 
 def expand_compact(full: NetworkModel, compact: NetworkModel, kept: dict[int, tuple]) -> None:

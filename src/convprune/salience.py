@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RetrievalDataset
-from .finetune import triplet_gradients
+from .finetune import FinetuneConfig, triplet_gradients
 from .network import NetworkModel, forward_features
 from .tensor import ShapeError
 
@@ -141,7 +141,8 @@ def salience_h4(model: NetworkModel, stats: ActivationStats) -> SalienceMap:
 
 
 def salience_h2(model: NetworkModel, triplets, dataset: RetrievalDataset,
-                pooling: str = "sqp", margin: float = 0.1) -> SalienceMap:
+                pooling: str = FinetuneConfig.pooling,
+                margin: float = FinetuneConfig.margin) -> SalienceMap:
     """First-order estimate of each edge's effect on the ranking loss.
 
     Runs every triplet through the descriptor pipeline and the hinge loss,

@@ -736,6 +736,30 @@ def test_writers_create_missing_directories_and_name_a_failed_target(writer, wor
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("blocked", [".", "..", "afile/out", "taken"])
+@pytest.mark.parametrize("writer", sorted(set(OUTPUT_FLAGS) - {"extract --out"}))
+def test_a_target_that_cannot_name_a_file_fails_before_any_output(writer, blocked, workspace,
+                                                                  tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "taken").mkdir()
+    argv = OUTPUT_FLAGS[writer](workspace, tmp_path, Path(blocked))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocked}: "), err
+    # nothing written: a command with two outputs checks the second before the first
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_container_under_a_file_fails_naming_its_blob(workspace, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "index"
+    assert main(OUTPUT_FLAGS["extract --out"](workspace, tmp_path, target)) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: cannot write {target / BLOB_NAME}: {tmp_path / 'afile'} is not a directory"]
+
+
 def test_pipeline_rerun_starts_a_fresh_log(workspace):
     out = workspace / "fresh_log"
     cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[0.5], poolings=["sqp"],

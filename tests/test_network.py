@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -432,6 +434,17 @@ def test_tensor_submodule_not_shadowed():
     assert finetune.__name__ == "convprune.finetune"
 
 
+def test_package_root_binds_no_name_and_imports_no_submodule():
+    # every public name has one import path, its module's
+    code = ("import sys, convprune; print(sorted(m for m in sys.modules if m.startswith("
+            "'convprune.')), [n for n in vars(convprune) if not n.startswith('__')])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert run.stdout.split() == ["[]", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # Channel compaction
 # ---------------------------------------------------------------------------
@@ -442,6 +455,7 @@ def test_compact_plan_reads_masks_only():
     assert {i: (list(o), list(c)) for i, (o, c) in kept.items()} == CHANNEL_PLAN
     assert [l.weights.shape[:2] for _, l in compact.conv_layers()] == [(3, 3), (7, 3), (5, 7)]
     assert compact.layers[6].weights.shape[0] == model.layers[6].weights.shape[0]
+    assert model.meta and compact.meta == {}  # nothing reads a compact network's metadata
     for idx, (outputs, inputs) in kept.items():
         layer, small = model.layers[idx], compact.layers[idx]
         assert np.array_equal(small.weights, layer.weights[np.ix_(outputs, inputs)])

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from convprune.cli import ExperimentConfig
 from convprune.dataset import generate_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +77,15 @@ def test_desk_experiment_rejects_bad_seeds_as_a_usage_error(seeds, tmp_path, cap
     assert f"--seeds: expected distinct comma-separated integers >= 0, got {seeds!r}" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_desk_experiment_sweep_defaults_are_the_pipeline_defaults():
+    args = _script("run_desk_experiment").parse_args(["--out", "out"])
+    sweep = ExperimentConfig()
+    assert args.heuristics.split(",") == sweep.heuristics
+    assert [float(t) for t in args.keep.split(",")] == sweep.keep_fractions
+    assert args.poolings.split(",") == sweep.poolings
+    assert args.epochs == sweep.epochs
 
 
 def test_desk_experiment_layer_fractions_follow_the_h1_point_tags(tmp_path, capsys,
