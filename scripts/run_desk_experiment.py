@@ -19,16 +19,15 @@ one seed of 24 points (h1-h4 x keep 0.5/0.2/0.1 x sqp/rmac) at 20 epochs on
 """
 
 import argparse
-import csv
 import dataclasses
-import io
+import inspect
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
 from convprune import container
-from convprune.cli import ExperimentConfig, run_pipeline, sweep_points
+from convprune.cli import ExperimentConfig, fraction_list, name_list, run_pipeline, sweep_points
 from convprune.dataset import TRAINABLE_IMAGES_PER_INSTANCE, RetrievalDataset, generate_dataset
 from convprune.finetune import FinetuneConfig, sample_triplets, train_baseline
 from convprune.network import save_model, tinynet_architecture
@@ -49,12 +48,13 @@ def parse_args(argv=None):
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out", required=True)
     p.add_argument("--data", default="", help="existing dataset dir (default: generate)")
-    p.add_argument("--instances", type=int, default=40)
-    p.add_argument("--images", type=int, default=8)
-    defaults = ExperimentConfig()  # the sweep defaults are the pipeline's
-    p.add_argument("--heuristics", default=",".join(defaults.heuristics))
-    p.add_argument("--keep", default=",".join(f"{t:g}" for t in defaults.keep_fractions))
-    p.add_argument("--poolings", default=",".join(defaults.poolings))
+    gen = inspect.signature(generate_dataset).parameters  # the dataset defaults' one owner
+    p.add_argument("--instances", type=int, default=gen["instances"].default)
+    p.add_argument("--images", type=int, default=gen["images_per_instance"].default)
+    defaults = ExperimentConfig()  # the sweep defaults and flag grammar are the pipeline's
+    p.add_argument("--heuristics", type=name_list, default=defaults.heuristics)
+    p.add_argument("--keep", type=fraction_list, default=defaults.keep_fractions)
+    p.add_argument("--poolings", type=name_list, default=defaults.poolings)
     p.add_argument("--seeds", type=_seeds, default="0,1,2")
     p.add_argument("--epochs", type=int, default=defaults.epochs)
     return p.parse_args(argv)
@@ -62,31 +62,31 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    out = Path(args.out)
-    try:  # the sweep's checks, before a baseline trains for it
-        sweep = ExperimentConfig(heuristics=args.heuristics.split(","),
-                                 keep_fractions=[float(t) for t in args.keep.split(",")],
-                                 poolings=args.poolings.split(","), epochs=args.epochs)
+    try:  # every failed check exits with one line
+        return run(args)
     except ValueError as exc:
         sys.exit(f"error: {exc}")
 
+
+def run(args) -> int:
+    out = Path(args.out)
+    # the sweep's checks, before a baseline trains for it
+    sweep = ExperimentConfig(heuristics=args.heuristics, keep_fractions=args.keep,
+                             poolings=args.poolings, epochs=args.epochs)
     data_dir = Path(args.data or out / "data")
     if not args.data:
         if args.images < TRAINABLE_IMAGES_PER_INSTANCE:
-            sys.exit(f"error: --images {args.images}: training needs at least "
-                     f"{TRAINABLE_IMAGES_PER_INSTANCE} images per instance")
+            raise ValueError(f"--images {args.images}: training needs at least "
+                             f"{TRAINABLE_IMAGES_PER_INSTANCE} images per instance")
         if not (data_dir / "manifest.json").exists():
             print(f"generating dataset ({args.instances}x{args.images}) at {data_dir}")
-            try:  # rejects too few instances before it writes anything
-                generate_dataset(data_dir, instances=args.instances,
-                                 images_per_instance=args.images, seed=0)
-            except ValueError as exc:
-                sys.exit(f"error: {exc}")
+            # rejects too few instances before it writes anything
+            generate_dataset(data_dir, instances=args.instances, images_per_instance=args.images)
     try:
         dataset = RetrievalDataset.load(data_dir)
         sample_triplets(dataset, 0)  # the checks training makes, before any seed trains
     except ValueError as exc:
-        sys.exit(f"error: {data_dir}: {exc}")
+        raise ValueError(f"{data_dir}: {exc}") from exc
 
     # accumulate rows keyed by sweep point, then average over seeds
     acc = defaultdict(list)
@@ -100,13 +100,11 @@ def main(argv=None):
             save_model(model, str(baseline_path))
             print(f"seed {seed}: baseline trained in {time.time() - t0:.0f}s")
         t0 = time.time()
-        run_pipeline(dataclasses.replace(sweep, seed=seed, data=str(data_dir),
-                                         model=str(baseline_path), out=str(seed_dir)))
+        rows = run_pipeline(dataclasses.replace(sweep, seed=seed, data=str(data_dir),
+                                                model=str(baseline_path), out=str(seed_dir)))
         print(f"seed {seed}: sweep finished in {time.time() - t0:.0f}s")
-        metrics = container.read_file(seed_dir / "metrics.csv", ValueError).decode()
-        for row in csv.DictReader(io.StringIO(metrics)):
-            key = (row["heuristic"], row["keep_fraction"], row["pooling"], row["phase"])
-            acc[key].append((float(row["map"]), float(row["recall4"] or "nan")))
+        for *key, map_, recall4 in rows:  # a point with no scored query has recall4 None
+            acc[tuple(key)].append((map_, float("nan") if recall4 is None else recall4))
 
     summary = [["heuristic", "keep_fraction", "pooling", "phase",
                 "map_mean", "recall4_mean", "seeds"]]
@@ -122,11 +120,8 @@ def main(argv=None):
         return 0
     h1_rows = []
     reports = out / f"seed{args.seeds[0]}" / "reports"
-    for point in h1:
-        try:
-            payload = container.read_json(reports / f"prune_{point.tag}.json", ValueError)
-        except ValueError as exc:  # every h1 point writes its report
-            sys.exit(f"error: {exc}")
+    for point in h1:  # every h1 point writes its report
+        payload = container.read_json(reports / f"prune_{point.tag}.json", ValueError)
         h1_rows += [[point.fields[1], *(r[k] for k in ("layer", "total", "remaining", "fraction"))]
                     for r in payload["layers"]]
     container.write_csv(out / "layer_fractions.csv",

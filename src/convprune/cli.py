@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 import time
 from dataclasses import dataclass, field
@@ -146,8 +147,8 @@ def _shape(text: str) -> tuple[int, int, int]:
     return tuple(int(d) for d in dims)
 
 
-def _fractions(text: str) -> list[float]:
-    """The argparse type of `pipeline --keep`: comma-separated numbers; the
+def fraction_list(text: str) -> list[float]:
+    """The argparse type of a sweep's `--keep`: comma-separated numbers; the
     config checks that each is a keep fraction, as it does for a config file."""
     try:
         return [float(t) for t in text.split(",")]
@@ -155,8 +156,8 @@ def _fractions(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
 
 
-def _names(text: str) -> list[str]:
-    """The argparse type of `pipeline --heuristic` and `--pooling`: comma-separated names."""
+def name_list(text: str) -> list[str]:
+    """The argparse type of a sweep's heuristic and pooling flags: comma-separated names."""
     return text.split(",")
 
 
@@ -225,6 +226,8 @@ def cmd_extract(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.csv:
         container.check_target(args.csv)
+        if Path(args.csv).resolve() == Path(args.out).resolve():
+            raise ValueError(f"cannot write {args.csv}: it is the --out file")
     model = net.load_model(args.model)
     dataset = ds.RetrievalDataset.load(args.data)
     result = evaluate_model(model, dataset, args.pooling)
@@ -297,8 +300,9 @@ def _run_point(point: SweepPoint, smap, baseline, dataset, ft_cfg: FinetuneConfi
            dict(stage="finetuned", point=point.tag, map=after.mean_ap, epochs=epochs))
 
 
-def run_pipeline(cfg: ExperimentConfig) -> Path:
-    """prune -> evaluate -> fine-tune -> evaluate for each of `sweep_points(cfg)`.
+def run_pipeline(cfg: ExperimentConfig) -> list[list]:
+    """prune -> evaluate -> fine-tune -> evaluate for each of `sweep_points(cfg)`;
+    returns the data rows written to metrics.csv, with their floats unrounded.
 
     Checks, before the first write, that the baseline takes the dataset's
     images and that the train split can form triplets. Runs each point in
@@ -342,13 +346,13 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
             print(f"point {point.tag} failed: {exc}", file=sys.stderr)
     if any(event["stage"] == "error" for event in events):
         raise RuntimeError(f"one or more pipeline points failed; partial results in {out}")
-    return out
+    return rows[1:]
 
 
 def cmd_pipeline(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, settings_for(ExperimentConfig, args))
-    out = run_pipeline(cfg)
-    print(f"pipeline finished; metrics in {out / 'metrics.csv'}")
+    run_pipeline(cfg)
+    print(f"pipeline finished; metrics in {Path(cfg.out) / 'metrics.csv'}")
     return 0
 
 
@@ -375,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dataset", help="render a synthetic retrieval dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--instances", type=int, default=40)
-    p.add_argument("--images", type=int, default=8)
-    p.add_argument("--shape", type=_shape, default="3x32x32")
-    p.add_argument("--seed", type=int, default=0)
+    gen = inspect.signature(ds.generate_dataset).parameters  # the defaults' one owner
+    p.add_argument("--instances", type=int, default=gen["instances"].default)
+    p.add_argument("--images", type=int, default=gen["images_per_instance"].default)
+    p.add_argument("--shape", type=_shape, default=gen["shape"].default)
+    p.add_argument("--seed", type=int, default=gen["seed"].default)
     p.set_defaults(fn=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train a baseline model from scratch")
@@ -431,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full sweep: prune, evaluate, fine-tune, evaluate")
     p.add_argument("--config", default="", help="JSON ExperimentConfig; flags override")
-    p.add_argument("--heuristic", dest="heuristics", metavar="HEURISTIC", type=_names,
+    p.add_argument("--heuristic", dest="heuristics", metavar="HEURISTIC", type=name_list,
                    help="comma-separated heuristic ids")
-    p.add_argument("--keep", dest="keep_fractions", metavar="KEEP", type=_fractions,
+    p.add_argument("--keep", dest="keep_fractions", metavar="KEEP", type=fraction_list,
                    help="comma-separated keep fractions")
-    p.add_argument("--pooling", dest="poolings", metavar="POOLING", type=_names,
+    p.add_argument("--pooling", dest="poolings", metavar="POOLING", type=name_list,
                    help="comma-separated pooling kinds")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--margin", type=float, default=None)

@@ -87,35 +87,28 @@ def select_threshold(salience: SalienceMap, keep_fraction: float,
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep fraction must be in (0, 1], got {keep_fraction}")
-    layer_ids = []
-    flat_ids = []
-    scores = []
-    for idx in sorted(salience.scores):
-        s = salience.scores[idx]
+    layers = sorted(salience.scores)
+    for idx in layers:
         m = masks.get(idx)
         if m is None:
             raise ShapeError(f"no mask provided for conv layer {idx}")
-        if m.shape != s.shape:
-            raise ShapeError(f"layer {idx}: mask shape {m.shape} != score shape {s.shape}")
-        live = np.flatnonzero(m.reshape(-1))
-        flat_ids.append(live)
-        layer_ids.append(np.full(live.size, idx, dtype=np.intp))
-        scores.append(s.reshape(-1)[live])
-    layer_ids = np.concatenate(layer_ids) if layer_ids else np.empty(0, dtype=np.intp)
-    flat_ids = np.concatenate(flat_ids) if flat_ids else np.empty(0, dtype=np.intp)
-    scores = np.concatenate(scores) if scores else np.empty(0)
-
-    n = scores.size
+        if m.shape != salience.scores[idx].shape:
+            raise ShapeError(f"layer {idx}: mask shape {m.shape} != score shape "
+                             f"{salience.scores[idx].shape}")
+    # one flat array in (layer index, flat index) order, so that a stable sort of
+    # the live scores breaks ties by (layer index, flat index) ascending
+    scores = np.concatenate([np.empty(0), *(salience.scores[idx].reshape(-1) for idx in layers)])
+    live = np.flatnonzero(np.concatenate([np.empty(0, bool),
+                                          *(masks[idx].reshape(-1) for idx in layers)]))
+    n = live.size
     n_remove = int(round((1.0 - keep_fraction) * n))
-    # lexsort: primary key last -> (score, layer index, flat index) ascending
-    order = np.lexsort((flat_ids, layer_ids, scores))
-    removed = order[:n_remove]
-    threshold = float(scores[order[n_remove]]) if n_remove < n else float("inf")
+    order = np.argsort(scores[live], kind="stable")
+    threshold = float(scores[live[order[n_remove]]]) if n_remove < n else float("inf")
 
-    removal: dict[int, np.ndarray] = {}
-    for idx in sorted(salience.scores):
-        sel = removed[layer_ids[removed] == idx]
-        removal[idx] = np.sort(flat_ids[sel])
+    removed = np.sort(live[order[:n_remove]])  # global positions, split back by layer
+    offsets = np.cumsum([0, *(salience.scores[idx].size for idx in layers)])
+    bounds = np.searchsorted(removed, offsets)
+    removal = {idx: removed[bounds[k]:bounds[k + 1]] - offsets[k] for k, idx in enumerate(layers)}
     return threshold, removal
 
 

@@ -201,6 +201,18 @@ def test_cli_input_files_raise_value_error_naming_the_file(workspace, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("csv_name", ["e.json", "sub/../e.json"])
+def test_evaluate_refuses_one_file_for_both_outputs(csv_name, workspace, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["evaluate", "--model", str(workspace / "baseline"), "--data",
+                 str(workspace / "data"), "--out", "e.json", "--csv", csv_name]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: cannot write {csv_name}: it is the --out file"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_evaluate_planted_duplicates_map_one(tmp_path):
     rng = np.random.default_rng(8)
     # every instance: the query image is byte-identical to its single index image
@@ -586,7 +598,11 @@ def test_pipeline_rows_and_t1_consistency(workspace):
     cfg = ExperimentConfig(heuristics=["h1"], keep_fractions=[1.0, 0.5], poolings=["sqp"],
                            epochs=1, seed=3, data=str(workspace / "data"),
                            model=str(workspace / "baseline"), out=str(out))
-    run_pipeline(cfg)
+    returned = run_pipeline(cfg)
+    with open(out / "metrics.csv", newline="") as fh:
+        cells = list(csv.reader(fh))[1:]
+    # the returned rows are the data rows of metrics.csv, their floats unrounded
+    assert [[f"{c:.12g}" if isinstance(c, float) else c for c in row] for row in returned] == cells
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 * 2 * 1 * 2  # heuristics x fractions x poolings x phases

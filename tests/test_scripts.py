@@ -3,6 +3,7 @@ verdicts of the paired benchmark comparison."""
 
 import csv
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from convprune import cli
 from convprune.cli import ExperimentConfig
 from convprune.dataset import generate_dataset
 
@@ -79,13 +81,66 @@ def test_desk_experiment_rejects_bad_seeds_as_a_usage_error(seeds, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keep", ["abc", ""])
+def test_desk_experiment_rejects_a_malformed_keep_list_as_pipeline_does(keep, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        _script("run_desk_experiment").main(["--out", str(out), "--keep", keep])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["pipeline", "--out", str(out), "--keep", keep])
+    assert exit_info.value.code == 2
+    pipeline_err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ") and [line for line in err if "error:" in line] == [err[-1]]
+    message = "error: argument --keep: expected comma-separated numbers: " + repr(keep)
+    assert err[-1].endswith(message) and pipeline_err[-1].endswith(message)
+    assert not out.exists()
+
+
 def test_desk_experiment_sweep_defaults_are_the_pipeline_defaults():
     args = _script("run_desk_experiment").parse_args(["--out", "out"])
     sweep = ExperimentConfig()
-    assert args.heuristics.split(",") == sweep.heuristics
-    assert [float(t) for t in args.keep.split(",")] == sweep.keep_fractions
-    assert args.poolings.split(",") == sweep.poolings
+    assert args.heuristics == sweep.heuristics
+    assert args.keep == sweep.keep_fractions
+    assert args.poolings == sweep.poolings
     assert args.epochs == sweep.epochs
+
+
+def test_dataset_flag_defaults_are_generate_datasets():
+    defaults = {name: p.default for name, p in inspect.signature(generate_dataset).parameters.items()}
+    args = cli.build_parser().parse_args(["gen-dataset", "--out", "out"])
+    assert (args.instances, args.images, args.shape, args.seed) == (
+        defaults["instances"], defaults["images_per_instance"], defaults["shape"], defaults["seed"])
+    args = _script("run_desk_experiment").parse_args(["--out", "out"])
+    assert (args.instances, args.images) == (defaults["instances"], defaults["images_per_instance"])
+
+
+def test_desk_experiment_summary_averages_the_rows_run_pipeline_returns(tmp_path, monkeypatch):
+    desk = _script("run_desk_experiment")
+    generate_dataset(tmp_path / "data", instances=3, images_per_instance=7, seed=0)
+    returned = []
+    run_pipeline = desk.run_pipeline
+
+    def recording(cfg):
+        rows = run_pipeline(cfg)
+        returned.append(rows)
+        return rows
+
+    monkeypatch.setattr(desk, "run_pipeline", recording)
+    out = tmp_path / "out"
+    assert desk.main(["--out", str(out), "--data", str(tmp_path / "data"), "--heuristics", "h1",
+                      "--keep", "0.5", "--poolings", "sqp", "--seeds", "0,1", "--epochs", "1"]) == 0
+    assert len(returned) == 2 and len(returned[0]) == len(returned[1]) == 2
+    with open(out / "summary.csv", newline="") as f:
+        summary = list(csv.DictReader(f))
+    assert len(summary) == 2
+    for row, seed0, seed1 in zip(summary, *(sorted(rows) for rows in returned)):
+        assert [row[k] for k in ("heuristic", "keep_fraction", "pooling", "phase")] == \
+            seed0[:4] == seed1[:4]
+        assert row["map_mean"] == f"{(seed0[4] + seed1[4]) / 2:.12g}"
+        assert row["recall4_mean"] == f"{(seed0[5] + seed1[5]) / 2:.12g}"
+        assert row["seeds"] == "2"
 
 
 def test_desk_experiment_layer_fractions_follow_the_h1_point_tags(tmp_path, capsys,
